@@ -10,6 +10,7 @@ by key; unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,7 @@ FREQUENCY_KEYS = ("g", "v", "omega0", "delta", "gamma", "kappa_c", "kappa_f")
 TIME_KEYS = ("tf", "t0", "tc")
 RUN_KEYS = (
     "alpha", "n", "branching", "schedule", "open_system", "steps",
-    "record_every", "observables", "out_dir", "threads", "grid", "preset",
+    "record_every", "observables", "out_dir", "grid", "preset",
 )
 KNOWN_KEYS = set(FREQUENCY_KEYS) | set(TIME_KEYS) | set(RUN_KEYS)
 
@@ -79,11 +80,10 @@ class RunConfig:
     params: model.SystemParams = field(default_factory=model.SystemParams)
     schedule: str = pulses.TQD
     open_system: bool = False
-    steps: int = 20000
+    steps: int | None = None  # None: step doubling in sweeps, DEFAULT_STEPS elsewhere
     record_every: int = 100
     observables: tuple[str, ...] = ("fidelity",)
     out_dir: str = "."
-    threads: int = 1
     grid: int | None = None
 
     def to_dict(self) -> dict:
@@ -97,7 +97,7 @@ class RunConfig:
             "schedule": self.schedule, "open_system": self.open_system,
             "steps": self.steps, "record_every": self.record_every,
             "observables": list(self.observables), "out_dir": self.out_dir,
-            "threads": self.threads, "grid": self.grid,
+            "grid": self.grid,
         }
 
 
@@ -151,36 +151,34 @@ def parse_config(file_data: dict | None = None, flags: dict | None = None) -> Ru
     if problems:
         raise ValidationError(problems)
 
-    kwargs = {}
-    for key, target in (("g", "g"), ("v", "v"), ("omega0", "omega0"),
-                        ("delta", "delta"), ("gamma", "gamma"),
-                        ("kappa_c", "kappa_c"), ("kappa_f", "kappa_f")):
-        if key in freq:
-            kwargs[target] = freq[key]
-    for key, target in (("tf", "t_f"), ("t0", "t0"), ("tc", "tc")):
+    kwargs = {key: freq[key] for key in FREQUENCY_KEYS if key in freq}
+    for key, target in (("tf", "t_f"), ("t0", "t0"), ("tc", "tc"), ("alpha", "alpha")):
         if key in raw:
-            kwargs[target] = float(raw[key])
-    if "alpha" in raw:
-        kwargs["alpha"] = float(raw["alpha"])
+            kwargs[target] = _number(raw, key, float, problems)
     if "n" in raw:
-        kwargs["n_atoms"] = int(raw["n"])
+        kwargs["n_atoms"] = _number(raw, "n", int, problems)
     if "branching" in raw:
-        kwargs["branching"] = {
-            hilbert.AtomLevel(k): float(f) for k, f in raw["branching"].items()
-        }
-    try:
-        params = model.SystemParams(**kwargs)
-    except ValidationError as err:
-        raise ValidationError(err.problems)
+        try:
+            kwargs["branching"] = {
+                hilbert.AtomLevel(k): float(f) for k, f in raw["branching"].items()
+            }
+        except (AttributeError, TypeError, ValueError):
+            problems.append(
+                f"branching must map ground levels to fractions, got {raw['branching']!r}"
+            )
+    params = None
+    if not problems:
+        try:
+            params = model.SystemParams(**kwargs)
+        except ValidationError as err:
+            problems.extend(err.problems)
 
     schedule = raw.get("schedule", pulses.TQD)
     if schedule not in pulses.KINDS:
         problems.append(f"schedule must be one of {pulses.KINDS}, got {schedule!r}")
-    steps = int(raw.get("steps", 20000))
-    record_every = int(raw.get("record_every", 100))
-    threads = int(raw.get("threads", 1))
-    if threads < 1:
-        problems.append(f"threads must be >= 1, got {threads}")
+    steps = _number(raw, "steps", int, problems, minimum=dynamics.MIN_STEPS)
+    record_every = _number(raw, "record_every", int, problems, minimum=1, default=100)
+    grid = _number(raw, "grid", int, problems, minimum=1)
     obs = raw.get("observables", ("fidelity",))
     if isinstance(obs, str):
         obs = tuple(s.strip() for s in obs.split(",") if s.strip())
@@ -193,7 +191,6 @@ def parse_config(file_data: dict | None = None, flags: dict | None = None) -> Ru
         raise ValidationError(problems)
 
     out_dir = raw.get("out_dir") or os.environ.get(OUTDIR_ENV, ".")
-    grid = raw.get("grid")
     return RunConfig(
         params=params,
         schedule=schedule,
@@ -202,9 +199,23 @@ def parse_config(file_data: dict | None = None, flags: dict | None = None) -> Ru
         record_every=record_every,
         observables=tuple(obs),
         out_dir=out_dir,
-        threads=threads,
-        grid=int(grid) if grid is not None else None,
+        grid=grid,
     )
+
+
+def _number(raw, key, kind, problems, minimum=None, default=None):
+    """raw[key] converted by ``kind`` (int or float); a bad value joins ``problems``."""
+    if raw.get(key) is None:
+        return default
+    try:
+        value = kind(raw[key])
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        problems.append(f"{key} must be {noun}, got {raw[key]!r}")
+        return None
+    if minimum is not None and not value >= minimum:
+        problems.append(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def _config_from_args(args) -> RunConfig:
@@ -215,7 +226,7 @@ def _config_from_args(args) -> RunConfig:
     flag_keys = (
         "g", "v", "omega0", "delta", "gamma", "kappa_c", "kappa_f",
         "tf", "t0", "tc", "alpha", "n", "schedule", "steps",
-        "record_every", "observables", "out_dir", "threads", "grid", "preset",
+        "record_every", "observables", "out_dir", "grid", "preset",
     )
     flags = {k: getattr(args, k, None) for k in flag_keys}
     if getattr(args, "open_system", None):
@@ -254,9 +265,8 @@ def _float(x: float) -> float:
 
 
 def cmd_eigen(args) -> int:
-    g = float(args.g if args.g is not None else 1.0)
-    v = float(args.v if args.v is not None else g)
-    params = model.SystemParams(g=g, v=v)
+    params = _config_from_args(args).params
+    g, v = params.g, params.v
     space = model.build_space(params)
     h_c = model.coupling_hamiltonian(space, params)
     analytic = zeno.analytic_eigensystem(g, v)
@@ -291,6 +301,8 @@ def cmd_pulses(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
+    if config.steps is None:
+        config = dataclasses.replace(config, steps=dynamics.DEFAULT_STEPS)
     params = config.params
     space = model.build_space(params, open_system=config.open_system)
     detuned = config.schedule == pulses.TQD
@@ -319,7 +331,10 @@ def cmd_simulate(args) -> int:
         for name in config.observables
     }
     os.makedirs(config.out_dir, exist_ok=True)
-    stem = "simulate-" + experiments.provenance_hash(config.to_dict())
+    # the name depends on the run alone: where it is written and the sweep
+    # grid (unused by a single run) stay out of the hash
+    physics = {k: v for k, v in config.to_dict().items() if k not in ("out_dir", "grid")}
+    stem = "simulate-" + experiments.provenance_hash(physics)
     csv_path = os.path.join(config.out_dir, stem + ".csv")
     with open(csv_path, "w") as fh:
         fh.write("t," + ",".join(config.observables) + "\n")
@@ -341,9 +356,9 @@ def cmd_scenario(args) -> int:
     overrides = {}
     if config.grid is not None:
         overrides["grid"] = config.grid
-    if args.steps is not None:
-        overrides["steps"] = int(args.steps)
-    result = experiments.run_scenario(args.name, overrides, threads=config.threads)
+    if config.steps is not None:
+        overrides["steps"] = config.steps
+    result = experiments.run_scenario(args.name, overrides)
     csv_path, json_path = experiments.write_result(result, config.out_dir)
     summary = {
         "scenario": result.scenario,
@@ -369,11 +384,16 @@ def _parse_axis(text: str) -> experiments.SweepAxis:
         raise ValidationError(
             f"axis spec {text!r} must be name:start:stop:num (e.g. kappa_f:0:0.01:41)"
         )
-    name, lo, hi, num = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    name = parts[0]
+    problems = []
     if name not in experiments.AXIS_NAMES:
-        raise ValidationError(
-            f"unknown axis {name!r}; available: {list(experiments.AXIS_NAMES)}"
-        )
+        problems.append(f"unknown axis {name!r}; available: {list(experiments.AXIS_NAMES)}")
+    fields = dict(zip(("start", "stop", "num"), parts[1:]))
+    lo = _number(fields, "start", float, problems)
+    hi = _number(fields, "stop", float, problems)
+    num = _number(fields, "num", int, problems, minimum=1)
+    if problems:
+        raise ValidationError([f"axis spec {text!r}: {p}" for p in problems])
     return experiments.SweepAxis(name, tuple(np.linspace(lo, hi, num)))
 
 
@@ -392,7 +412,7 @@ def cmd_sweep(args) -> int:
         observables=config.observables,
         steps=config.steps,
     )
-    result = experiments.run_scenario(scenario, threads=config.threads)
+    result = experiments.run_scenario(scenario)
     csv_path, json_path = experiments.write_result(result, config.out_dir)
     print(json.dumps({"csv": csv_path, "sidecar": json_path,
                       "diagnostics": result.diagnostics}, indent=2, default=float))
@@ -422,12 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--schedule", choices=pulses.KINDS)
     common.add_argument("--open", dest="open_system", action="store_true",
                         help="include dissipation (master equation)")
-    common.add_argument("--steps", help="integrator steps (default 20000)")
+    common.add_argument(
+        "--steps",
+        help="fixed integrator step count (default: error-controlled for final-value "
+        f"sweeps, {dynamics.DEFAULT_STEPS} for simulate and time series)",
+    )
     common.add_argument("--record-every", dest="record_every")
     common.add_argument("--observables", help="comma-separated observable names")
     common.add_argument("--out", dest="out_dir",
                         help=f"output directory (default ${OUTDIR_ENV} or .)")
-    common.add_argument("--threads", help="sweep worker threads")
     common.add_argument("--grid", help="points per sweep axis")
     common.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set (e.g. experimental rates)")

@@ -19,6 +19,15 @@ NORM_TOL = 1e-6
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
 
+# Step counts.  DEFAULT_STEPS is the fixed grid of runs that record a time
+# series or name no step count on the single-run path, and the cap of the
+# step-doubling control for final-value sweeps; MIN_STEPS is the smallest
+# explicit step count accepted.  STEP_TOL bounds the Richardson estimate of
+# the error of every final observable of an error-controlled sweep.
+DEFAULT_STEPS = 20000
+MIN_STEPS = 1000
+STEP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -28,7 +37,7 @@ class TimeGrid:
     """
 
     t_end: float
-    steps: int = 20000
+    steps: int = DEFAULT_STEPS
     record_every: int = 100
     t_start: float = 0.0
 
@@ -36,8 +45,8 @@ class TimeGrid:
         problems = []
         if self.t_end <= self.t_start:
             problems.append(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
-        if self.steps < 1000:
-            problems.append(f"steps must be at least 1000, got {self.steps}")
+        if self.steps < MIN_STEPS:
+            problems.append(f"steps must be at least {MIN_STEPS}, got {self.steps}")
         if self.record_every < 1:
             problems.append(f"record_every must be positive, got {self.record_every}")
         if problems:
@@ -306,7 +315,7 @@ def _stage_times(frac, frac_next, t_end):
 
 
 def evolve_schrodinger_batch(
-    static, drive_ops, drive_fn, psi0, t_end, steps=20000, record_every=None
+    static, drive_ops, drive_fn, psi0, t_end, steps=DEFAULT_STEPS, record_every=None
 ) -> BatchResult:
     """Lockstep RK4 for a batch of independent state-vector evolutions.
 
@@ -369,7 +378,7 @@ def evolve_schrodinger_batch(
 
 
 def evolve_lindblad_batch(
-    static, drive_ops, drive_fn, rho0, t_end, channels, steps=20000, record_every=None
+    static, drive_ops, drive_fn, rho0, t_end, channels, steps=DEFAULT_STEPS, record_every=None
 ) -> BatchResult:
     """Lockstep RK4 for a batch of master-equation evolutions.
 

@@ -2,10 +2,21 @@
 
 Each scenario fixes a base operating point, a schedule kind and up to two
 sweep axes (or a set of labeled panels), and records final-state observables
-or full time series.  Cells are independent: they evolve in lockstep through
-the batched integrators, chunked across a thread pool when requested, and
-the per-cell arithmetic is identical regardless of chunking, so serial and
-parallel runs produce byte-identical results.
+or full time series.  Cells are independent: the cells of one atom count
+evolve in lockstep through the batched integrators, and reruns produce
+byte-identical results.
+
+Step count.  A scenario that names no ``steps`` and records final values
+only picks the step count of each atom-count group by step doubling: passes
+at FIRST_PASS_STEPS, twice that, and so on up to dynamics.DEFAULT_STEPS.
+After each pass every cell gets the Richardson estimate
+max_O |O_2n - O_n| / 15 of the error of its finer value (RK4 is fourth
+order; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), and the group
+stops at the first pass where every cell is within dynamics.STEP_TOL.  Only
+that pass supplies values and solver diagnostics.  A cell still over
+tolerance at the cap keeps its cap value and is listed in ``cell_errors``.
+Runs that record a time series keep the fixed dynamics.DEFAULT_STEPS grid,
+since their sample times are tied to the step stride.
 
 Deviation axes (dg, dv, domega0, dT) are relative: the executed value is
 x * (1 + delta).  A timing deviation stretches the whole designed schedule
@@ -19,8 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +76,17 @@ class Scenario:
     panels: tuple[Panel, ...] = ()
     observables: tuple[str, ...] = ("fidelity",)
     record_series: bool = False
-    steps: int = 20000
+    steps: int | None = None  # None: step doubling, or the fixed default for series
     record_every: int = 200
+
+    def __post_init__(self):
+        problems = []
+        if self.steps is not None and not self.steps >= dynamics.MIN_STEPS:
+            problems.append(f"steps must be at least {dynamics.MIN_STEPS}, got {self.steps}")
+        if not self.record_every >= 1:
+            problems.append(f"record_every must be positive, got {self.record_every}")
+        if problems:
+            raise ValidationError(problems)
 
 
 @dataclass
@@ -107,7 +126,12 @@ def _apply_axis(params: SystemParams, scale: float, name: str, value: float):
     if name == "kappa_f":
         return params.replace(kappa_f=value), scale
     if name == "n":
-        return natom_params(int(value), t_f=params.t_f), scale
+        # the operating point owns chain length, detuning and pulse timing;
+        # every other setting (rates, couplings, amplitude) carries through
+        point = natom_params(int(value), t_f=params.t_f)
+        return params.replace(
+            n_atoms=point.n_atoms, delta=point.delta, t0=point.t0, tc=point.tc
+        ), scale
     if name == "dg":
         return params.replace(g=params.g * (1.0 + value)), scale
     if name == "dv":
@@ -169,8 +193,12 @@ def _cell_statics(space, cells, detuned: bool):
     )
 
 
-def _evolve_group(kind, open_system, cells, steps, record_every=None):
-    """Evolve cells sharing one atom count; returns a dynamics.BatchResult."""
+def _group_integrator(kind, open_system, cells):
+    """Space of cells sharing one atom count, and their batched integrator.
+
+    The integrator maps (steps, record_every) to a dynamics.BatchResult; the
+    space, structure matrices and drive are built once for all its passes.
+    """
     params0 = cells[0][0]
     space = model.build_space(params0, open_system=open_system)
     detuned = kind == TQD
@@ -180,22 +208,25 @@ def _evolve_group(kind, open_system, cells, steps, record_every=None):
     t_end = np.array([p.t_f for p, _ in cells])
     psi0 = space.basis_vector(0)
     if not open_system:
-        result = dynamics.evolve_schrodinger_batch(
-            static, [x1.mat, xn.mat], drive, psi0, t_end, steps=steps,
-            record_every=record_every,
-        )
+        def integrate(steps, record_every=None):
+            return dynamics.evolve_schrodinger_batch(
+                static, [x1.mat, xn.mat], drive, psi0, t_end, steps=steps,
+                record_every=record_every,
+            )
     else:
         structure = model.channel_structure(space)
         weights = np.array(
             [model.channel_rates(structure, p) * structure.amp_sq for p, _ in cells]
         )
         rho0 = np.outer(psi0, psi0.conj())
-        result = dynamics.evolve_lindblad_batch(
-            static, [x1.mat, xn.mat], drive, rho0, t_end,
-            (structure.sources, structure.targets, weights),
-            steps=steps, record_every=record_every,
-        )
-    return space, result
+
+        def integrate(steps, record_every=None):
+            return dynamics.evolve_lindblad_batch(
+                static, [x1.mat, xn.mat], drive, rho0, t_end,
+                (structure.sources, structure.targets, weights),
+                steps=steps, record_every=record_every,
+            )
+    return space, integrate
 
 
 def _observable_fn(name, kind, params, dim):
@@ -228,78 +259,116 @@ def _cell_errors(diagnostics, n_cells):
     errors = []
     for c in range(n_cells):
         problems = []
-        for name, tol in (("max_norm_drift", 1e-6), ("max_trace_drift", 1e-6)):
+        for name, tol in (
+            ("max_norm_drift", dynamics.NORM_TOL),
+            ("max_trace_drift", dynamics.TRACE_TOL),
+            ("max_step_error", dynamics.STEP_TOL),
+        ):
             # written NaN-safe: a diverged cell reports NaN drift
             if name in diagnostics and not (diagnostics[name][c] <= tol):
                 problems.append(f"{name} {diagnostics[name][c]:.2e} > {tol:g}")
         if "min_density_eigenvalue" in diagnostics and not (
-            diagnostics["min_density_eigenvalue"][c] >= -1e-6
+            diagnostics["min_density_eigenvalue"][c] >= -dynamics.POSITIVITY_TOL
         ):
             problems.append(
-                f"min_density_eigenvalue {diagnostics['min_density_eigenvalue'][c]:.2e} < -1e-06"
+                f"min_density_eigenvalue {diagnostics['min_density_eigenvalue'][c]:.2e} "
+                f"< {-dynamics.POSITIVITY_TOL:g}"
             )
         if problems:
             errors.append({"cell": c, "problems": problems})
     return errors
 
 
-def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None, threads=1):
+# First pass of the step-doubling control: four doublings reach the cap.
+FIRST_PASS_STEPS = dynamics.DEFAULT_STEPS // 16
+
+
+def _final_values(obs_fns, obs_names, batch):
+    """name -> (cells,) observable values of a batch's final states."""
+    return {
+        name: np.array([fns[name](state) for fns, state in zip(obs_fns, batch.finals)])
+        for name in obs_names
+    }
+
+
+def _step_doubling(integrate, obs_fns, obs_names):
+    """Double the step count until every cell's final values are within STEP_TOL.
+
+    Returns (batch, values, error, passes) of the accepted (finer) pass:
+    error is the per-cell Richardson estimate, passes the step counts run.
+    """
+    steps = FIRST_PASS_STEPS
+    coarse = _final_values(obs_fns, obs_names, integrate(steps))
+    passes = [steps]
+    while True:
+        steps *= 2
+        batch = integrate(steps)
+        fine = _final_values(obs_fns, obs_names, batch)
+        passes.append(steps)
+        with np.errstate(invalid="ignore"):
+            error = np.max([np.abs(fine[n] - coarse[n]) for n in obs_names], axis=0) / 15.0
+        # NaN-safe: a diverged cell never passes
+        if np.all(error <= dynamics.STEP_TOL) or steps >= dynamics.DEFAULT_STEPS:
+            return batch, fine, error, passes
+        coarse = fine
+
+
+def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
     """Evolve heterogeneous cells and evaluate observables.
 
+    ``steps=None`` chooses the step count of each atom-count group by step
+    doubling (final values only; a series needs a fixed step count).
     Returns (values, series, fractions, diagnostics): values[name] is (C,),
-    series[name] is (C, R) when recording, diagnostics maps name -> (C,).
+    series[name] is (C, R) when recording, diagnostics maps name -> (C,)
+    plus ``cell_errors`` and, under step control, ``step_passes``.
     """
     order = np.argsort([p.n_atoms for p, _ in cells], kind="stable")
     values = {name: np.zeros(len(cells)) for name in obs_names}
     series = {name: None for name in obs_names} if record_every else None
     fractions = None
-    diagnostics: dict[str, np.ndarray] = {}
+    diagnostics: dict[str, np.ndarray] = {"steps_used": np.zeros(len(cells), dtype=int)}
+    step_passes = []
 
     for n_atoms in sorted({p.n_atoms for p, _ in cells}):
         idx = [i for i in order if cells[i][0].n_atoms == n_atoms]
         group = [cells[i] for i in idx]
-        chunk_count = max(1, min(threads, len(group)))
-        bounds = np.array_split(np.arange(len(group)), chunk_count)
-
-        def run_chunk(sel):
-            return _evolve_group(
-                kind, open_system, [group[j] for j in sel], steps, record_every
-            )
-
-        if chunk_count == 1:
-            outputs = [run_chunk(bounds[0])]
+        space, integrate = _group_integrator(kind, open_system, group)
+        obs_fns = [
+            {name: _observable_fn(name, kind, p, space.dim) for name in obs_names}
+            for p, _ in group
+        ]
+        if steps is None:
+            batch, finals, error, passes = _step_doubling(integrate, obs_fns, obs_names)
+            diagnostics.setdefault("max_step_error", np.zeros(len(cells)))[idx] = error
+            step_passes.append({"n_atoms": n_atoms, "steps": passes})
+            diagnostics["steps_used"][idx] = passes[-1]
         else:
-            with ThreadPoolExecutor(max_workers=chunk_count) as pool:
-                outputs = list(pool.map(run_chunk, bounds))
-
-        for sel, (space, batch) in zip(bounds, outputs):
-            for name, arr in batch.diagnostics.items():
-                diagnostics.setdefault(name, np.zeros(len(cells)))
-                diagnostics[name][[idx[j] for j in sel]] = arr
-            for local, j in enumerate(sel):
-                cell_index = idx[j]
-                p, _ = group[j]
-                for name in obs_names:
-                    fn = _observable_fn(name, kind, p, space.dim)
-                    values[name][cell_index] = fn(batch.finals[local])
-                    if record_every:
-                        if series[name] is None:
-                            series[name] = np.zeros(
-                                (len(cells), batch.records.shape[1])
-                            )
-                        series[name][cell_index] = [
-                            fn(state) for state in batch.records[local]
-                        ]
+            batch = integrate(steps, record_every)
+            finals = _final_values(obs_fns, obs_names, batch)
+            diagnostics["steps_used"][idx] = steps
+        for name, arr in batch.diagnostics.items():
+            diagnostics.setdefault(name, np.zeros(len(cells)))[idx] = arr
+        for name in obs_names:
+            values[name][idx] = finals[name]
             if record_every:
-                fractions = batch.record_fractions
+                if series[name] is None:
+                    series[name] = np.zeros((len(cells), batch.records.shape[1]))
+                series[name][idx] = [
+                    [fns[name](state) for state in records]
+                    for fns, records in zip(obs_fns, batch.records)
+                ]
+        if record_every:
+            fractions = batch.record_fractions
 
     diagnostics["cell_errors"] = _cell_errors(diagnostics, len(cells))
+    if steps is None:
+        diagnostics["step_passes"] = step_passes
     return values, series, fractions, diagnostics
 
 
 # --- scenario execution ---------------------------------------------------
 
-def _run_grid(scenario: Scenario, threads: int) -> tuple[list[ResultBlock], dict]:
+def _run_grid(scenario: Scenario) -> tuple[list[ResultBlock], dict]:
     axes = scenario.axes
     if len(axes) > 2:
         raise ValidationError("at most two sweep axes are supported")
@@ -317,7 +386,7 @@ def _run_grid(scenario: Scenario, threads: int) -> tuple[list[ResultBlock], dict
     record_every = scenario.record_every if scenario.record_series else None
     values, series, fractions, diagnostics = _run_cells(
         scenario.schedule_kind, scenario.open_system, cells, scenario.steps,
-        scenario.observables, record_every, threads,
+        scenario.observables, record_every,
     )
 
     blocks = []
@@ -334,11 +403,21 @@ def _run_grid(scenario: Scenario, threads: int) -> tuple[list[ResultBlock], dict
     return blocks, diagnostics
 
 
-def run_scenario(name_or_scenario, overrides=None, threads: int = 1) -> SweepResult:
+def _int_override(overrides, key):
+    value = overrides.pop(key)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+
+
+def run_scenario(name_or_scenario, overrides=None) -> SweepResult:
     """Execute a registered scenario (or an ad-hoc Scenario object).
 
     ``overrides`` may set ``grid`` (points per numeric axis), ``steps``,
-    ``record_every``, or any SystemParams field.
+    ``record_every``, or any SystemParams field.  Without ``steps`` the step
+    count is error-controlled (see the module docstring), except for series
+    scenarios, which run on the fixed dynamics.DEFAULT_STEPS grid.
     """
     overrides = dict(overrides or {})
     if isinstance(name_or_scenario, Scenario):
@@ -346,11 +425,13 @@ def run_scenario(name_or_scenario, overrides=None, threads: int = 1) -> SweepRes
     else:
         scenario = get_scenario(name_or_scenario, grid=overrides.pop("grid", None))
     if "steps" in overrides:
-        scenario = dataclasses.replace(scenario, steps=int(overrides.pop("steps")))
+        scenario = dataclasses.replace(scenario, steps=_int_override(overrides, "steps"))
     if "record_every" in overrides:
         scenario = dataclasses.replace(
-            scenario, record_every=int(overrides.pop("record_every"))
+            scenario, record_every=_int_override(overrides, "record_every")
         )
+    if scenario.steps is None and scenario.record_series:
+        scenario = dataclasses.replace(scenario, steps=dynamics.DEFAULT_STEPS)
     if overrides:
         scenario = dataclasses.replace(
             scenario, params=scenario.params.replace(**overrides)
@@ -367,13 +448,13 @@ def run_scenario(name_or_scenario, overrides=None, threads: int = 1) -> SweepRes
                 schedule_kind=panel.schedule_kind or scenario.schedule_kind,
                 params=scenario.params.replace(**dict(panel.params_patch)),
             )
-            sub_blocks, sub_diag = _run_grid(sub, threads)
+            sub_blocks, sub_diag = _run_grid(sub)
             for b in sub_blocks:
                 b.observable = f"{b.observable}:{panel.label}"
             blocks.extend(sub_blocks)
             diagnostics[panel.label] = _summarize(sub_diag)
     else:
-        grid_blocks, diag = _run_grid(scenario, threads)
+        grid_blocks, diag = _run_grid(scenario)
         blocks.extend(grid_blocks)
         diagnostics = _summarize(diag)
 
@@ -385,6 +466,7 @@ def run_scenario(name_or_scenario, overrides=None, threads: int = 1) -> SweepRes
         "schedule": scenario.schedule_kind,
         "open_system": scenario.open_system,
         "steps": scenario.steps,
+        "step_tol": dynamics.STEP_TOL if scenario.steps is None else None,
         "record_every": scenario.record_every,
         "record_series": scenario.record_series,
         "axes": [
@@ -406,14 +488,13 @@ def run_scenario(name_or_scenario, overrides=None, threads: int = 1) -> SweepRes
 
 
 def _summarize(diag: dict) -> dict:
+    """Per-cell arrays to their worst value; lists (cell_errors, step_passes) kept."""
     out = {}
     for name, arr in diag.items():
-        if name == "cell_errors":
+        if not isinstance(arr, np.ndarray):
             out[name] = arr
-            continue
-        arr = np.asarray(arr)
-        key = "min" if name.startswith("min") else "max"
-        out[name] = float(arr.min() if key == "min" else arr.max())
+        else:
+            out[name] = (arr.min() if name.startswith("min") else arr.max()).item()
     return out
 
 

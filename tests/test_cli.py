@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_flags_override_file():
 def test_config_round_trip():
     original = cli.parse_config(
         flags={"preset": "experimental", "tf": 72, "schedule": "tqd",
-               "observables": "fidelity,leakage", "threads": 2}
+               "observables": "fidelity,leakage"}
     )
     again = cli.parse_config(file_data=original.to_dict())
     assert again == original
@@ -192,3 +193,30 @@ def test_outdir_environment_default(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     config = cli.parse_config()
     assert config.out_dir == str(tmp_path)
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (("simulate", "--steps", "abc"), "steps must be an integer"),
+    (("simulate", "--tf", "x"), "tf must be a number"),
+    (("scenario", "fig10a", "--grid", "x"), "grid must be an integer"),
+    (("scenario", "fig10a", "--steps", "500"), "steps must be at least 1000"),
+    (("sweep", "--axis", "tf:a:b:3"), "start must be a number"),
+    (("sweep", "--axis", "tf:10:20:-1"), "num must be at least 1"),
+])
+def test_bad_numbers_give_json_error(capsys, argv, detail):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert any(detail in p for p in payload["details"])
+
+
+def test_simulate_name_independent_of_out_dir(tmp_path, capsys):
+    names = []
+    for sub in ("a", "b"):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--tf", "20", "--steps", "1000", "--out", str(tmp_path / sub),
+        )
+        assert code == 0
+        names.append(os.path.basename(json.loads(out)["csv"]))
+    assert names[0] == names[1]

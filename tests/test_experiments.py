@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cavityghz import experiments, model
+from cavityghz import dynamics, experiments, model
 from cavityghz.errors import ConfigurationError, ValidationError
 from cavityghz.experiments import SweepAxis
 
@@ -52,15 +52,26 @@ def test_natom_operating_points_are_valid():
         experiments.natom_params(9)
 
 
-def quick(name, grid=3, steps=2000, threads=1):
-    return experiments.run_scenario(name, {"grid": grid, "steps": steps}, threads=threads)
+def test_n_axis_keeps_other_settings():
+    p = model.SystemParams(gamma=0.05, kappa_c=0.002, omega0=0.3)
+    q, s = experiments._apply_axis(p, 1.0, "n", 5.0)
+    point = experiments.natom_params(5, t_f=p.t_f)
+    assert (q.n_atoms, q.delta, q.t0, q.tc) == (5, point.delta, point.t0, point.tc)
+    assert (q.gamma, q.kappa_c, q.omega0, q.t_f) == (0.05, 0.002, 0.3, p.t_f)
+    assert s == 1.0
 
 
-def test_parallel_equals_serial_bitwise():
-    serial = quick("fig10b")
-    parallel = quick("fig10b", threads=4)
-    for a, b in zip(serial.blocks, parallel.blocks):
-        assert np.array_equal(a.values, b.values)
+def test_explicit_steps_below_minimum_rejected():
+    with pytest.raises(ValidationError, match="steps must be at least"):
+        experiments.run_scenario("fig10a", {"grid": 3, "steps": 500})
+    with pytest.raises(ValidationError, match="steps must be an integer"):
+        experiments.run_scenario("fig10a", {"grid": 3, "steps": "abc"})
+    with pytest.raises(ValidationError, match="steps must be at least"):
+        experiments.Scenario("s", "too coarse", model.SystemParams(), steps=999)
+
+
+def quick(name, grid=3, steps=2000):
+    return experiments.run_scenario(name, {"grid": grid, "steps": steps})
 
 
 def test_rerun_is_deterministic():
@@ -174,3 +185,65 @@ def test_failing_cell_recorded_without_aborting():
     assert "max_norm_drift" in errors[0]["problems"][0]
     healthy = res.block("fidelity").values[0]
     assert 0.0 <= healthy <= 1.0
+
+
+# --- error-controlled step count -------------------------------------------
+
+@pytest.fixture(scope="module")
+def controlled_fig10a():
+    return experiments.run_scenario("fig10a", {"grid": 3})
+
+
+@pytest.mark.parametrize("name", ["fig10a", "fig9a"])
+def test_step_control_matches_fine_fixed_grid(name, controlled_fig10a, tmp_path):
+    res = controlled_fig10a if name == "fig10a" else experiments.run_scenario(name, {"grid": 3})
+    reference = experiments.run_scenario(name, {"grid": 3, "steps": 40000})
+    diff = np.abs(res.block("fidelity").values - reference.block("fidelity").values)
+    assert np.max(diff) <= 1e-8
+    assert res.provenance["steps"] is None
+    assert res.provenance["step_tol"] == dynamics.STEP_TOL
+    _, json_path = experiments.write_result(res, tmp_path)
+    diag = json.loads(open(json_path).read())["diagnostics"]
+    assert diag["cell_errors"] == []
+    assert 0.0 < diag["max_step_error"] <= dynamics.STEP_TOL
+    passes = diag["step_passes"][0]["steps"]
+    assert passes[0] == experiments.FIRST_PASS_STEPS
+    assert diag["steps_used"] == passes[-1] <= dynamics.DEFAULT_STEPS
+    # fewer integration steps in total than one fixed default-step pass
+    assert sum(passes) < dynamics.DEFAULT_STEPS
+
+
+def test_step_control_rerun_is_bitwise(controlled_fig10a):
+    again = experiments.run_scenario("fig10a", {"grid": 3})
+    for x, y in zip(controlled_fig10a.blocks, again.blocks):
+        assert np.array_equal(x.values, y.values)
+    assert controlled_fig10a.provenance["hash"] == again.provenance["hash"]
+    assert controlled_fig10a.diagnostics == again.diagnostics
+
+
+def test_step_control_flags_unresolved_cell_at_cap():
+    # at the cap the long cell still takes steps of 2/g and diverges; the
+    # group runs every doubling, the sweep finishes and the cell is flagged
+    scenario = experiments.Scenario(
+        name="cap-check",
+        description="cell that no allowed step count resolves",
+        params=model.SystemParams().with_t_f(40.0),
+        schedule_kind="adiabatic",
+        axes=(SweepAxis("tf", (40.0, 40000.0)),),
+    )
+    res = experiments.run_scenario(scenario)
+    diag = res.diagnostics
+    assert diag["step_passes"][0]["steps"] == [1250, 2500, 5000, 10000, 20000]
+    assert diag["steps_used"] == dynamics.DEFAULT_STEPS
+    errors = diag["cell_errors"]
+    assert [e["cell"] for e in errors] == [1]
+    assert any(p.startswith("max_step_error") for p in errors[0]["problems"])
+    healthy = res.block("fidelity").values[0]
+    assert 0.0 <= healthy <= 1.0
+
+
+def test_series_scenario_keeps_fixed_grid():
+    res = experiments.run_scenario("fig5", {"record_every": 5000})
+    assert res.provenance["steps"] == dynamics.DEFAULT_STEPS
+    assert res.diagnostics["steps_used"] == dynamics.DEFAULT_STEPS
+    assert "step_passes" not in res.diagnostics
