@@ -24,6 +24,9 @@ from . import __version__, dynamics, experiments, hilbert, model, observables, p
 from .errors import CavityGhzError, ValidationError
 
 OUTDIR_ENV = "CAVITYGHZ_OUTDIR"
+# Exit status of a scenario or sweep that finished with cells over a solver
+# tolerance; their values are written as nan and listed in cell_errors.
+EXIT_FLAGGED_CELLS = 3
 
 FREQUENCY_KEYS = ("g", "v", "omega0", "delta", "gamma", "kappa_c", "kappa_f")
 TIME_KEYS = ("tf", "t0", "tc")
@@ -284,10 +287,14 @@ def cmd_eigen(args) -> int:
 
 def cmd_pulses(args) -> int:
     config = _config_from_args(args)
+    problems = []
+    points = _number({"points": args.points}, "points", int, problems, minimum=1)
+    if problems:
+        raise ValidationError(problems)
     kind = args.kind or config.schedule
     params = config.params
     schedule = pulses.PulseSchedule(kind, params)
-    t = np.linspace(0.0, params.t_f, args.points)
+    t = np.linspace(0.0, params.t_f, points)
     sample = schedule.sample(t)
     print("t,omega1,omega3,theta,theta_dot,omega_bar")
     bar = sample.omega_bar if sample.omega_bar is not None else np.zeros_like(t)
@@ -375,7 +382,7 @@ def cmd_scenario(args) -> int:
         "diagnostics": result.diagnostics,
     }
     print(json.dumps(summary, indent=2, default=float))
-    return 0
+    return _flagged_exit(result, json_path)
 
 
 def _parse_axis(text: str) -> experiments.SweepAxis:
@@ -416,7 +423,28 @@ def cmd_sweep(args) -> int:
     csv_path, json_path = experiments.write_result(result, config.out_dir)
     print(json.dumps({"csv": csv_path, "sidecar": json_path,
                       "diagnostics": result.diagnostics}, indent=2, default=float))
-    return 0
+    return _flagged_exit(result, json_path)
+
+
+def _flagged_cells(diagnostics: dict) -> int:
+    """Number of cell_errors entries, over every panel of the diagnostics."""
+    if "cell_errors" in diagnostics:
+        return len(diagnostics["cell_errors"])
+    return sum(_flagged_cells(d) for d in diagnostics.values() if isinstance(d, dict))
+
+
+def _flagged_exit(result, json_path: str) -> int:
+    """0, or EXIT_FLAGGED_CELLS with a JSON note on stderr when cells were flagged."""
+    flagged = _flagged_cells(result.diagnostics)
+    if not flagged:
+        return 0
+    print(json.dumps({
+        "error": "CellErrors",
+        "message": f"{flagged} cell(s) over a solver tolerance were written as nan; "
+        "their raw values and reasons are under cell_errors in the sidecar",
+        "sidecar": json_path,
+    }), file=sys.stderr)
+    return EXIT_FLAGGED_CELLS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eigen)
     p = sub.add_parser("pulses", parents=[common], help="emit pulse shapes as CSV")
     p.add_argument("--kind", choices=pulses.KINDS)
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", default=1001, help="samples over [0, tf] (default 1001)")
     p.set_defaults(fn=cmd_pulses)
     sub.add_parser("simulate", parents=[common],
                    help="run one evolution, write trajectory CSV").set_defaults(fn=cmd_simulate)

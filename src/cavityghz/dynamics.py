@@ -285,10 +285,16 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None, check_he
 # fractional time grid: cell c lives on [0, t_end[c]] with its own dt.
 # The Hamiltonian is  H_c(t) = static[c] + sum_k coeff_k(t)[c] * op_k
 # where the ops are shared structure matrices and the coefficients come
-# from the vectorized pulse formulas.  The drive ops are a handful of
-# matrix entries each, so they are applied as sparse row updates, and all
-# three RK4 stage times of a step go through one drive evaluation (the
-# drive function must broadcast over a (3, cells) time array).
+# from the vectorized pulse formulas.  The drive is evaluated once per chunk
+# of steps, on an (n, 3, cells) array of the start, midpoint and end times
+# of n steps (the drive function must broadcast over it), and the drive ops
+# touch only a few matrix entries, so each step rewrites those entries of
+# its three stage Hamiltonians and leaves the rest of the static part alone.
+
+# Drive time samples per drive_fn call: a chunk holds as many steps as keep
+# 3 * steps * cells within this budget (at least one step).  Memory grows
+# with the chunk, the Python overhead of the pulse formulas shrinks with it.
+DRIVE_CHUNK_SAMPLES = 12288
 
 
 @dataclass
@@ -299,19 +305,41 @@ class BatchResult:
     diagnostics: dict
 
 
-def _sparse_entries(ops):
-    out = []
-    for op in ops:
-        rows, cols = np.nonzero(op)
-        out.append(tuple((r, c, op[r, c]) for r, c in zip(rows, cols)))
-    return out
+def _record_marks(steps, record_every):
+    if record_every is None:
+        return None
+    return set(range(0, steps, record_every)) | {steps}
 
 
-def _stage_times(frac, frac_next, t_end):
-    # rows: start, midpoint, end of the step (per cell)
-    t0 = frac * t_end
-    t1 = frac_next * t_end
-    return np.stack([t0, 0.5 * (t0 + t1), t1])
+def _stage_generators(static, drive_ops, drive_fn, t_end, steps):
+    """Yield, step by step, the (3, cells, d, d) generators -i H(t) at the
+    start, midpoint and end of the step.
+
+    ``static`` is the (d, d) or (cells, d, d) time-independent part of H
+    (non-Hermitian for an effective H).  The drive ops are reduced to the
+    union of their nonzero entries; only those entries of the yielded array
+    change from step to step, so it is overwritten in place.
+    """
+    dim = static.shape[-1]
+    cells = t_end.shape[0]
+    ops = np.array([np.asarray(op, dtype=complex) for op in drive_ops]).reshape(-1, dim, dim)
+    rows, cols = np.nonzero(np.any(ops != 0, axis=0))
+    op_entries = -1j * ops[:, rows, cols]                          # (ops, E)
+    gen = np.array(np.broadcast_to(-1j * static, (3, cells, dim, dim)))
+    static_entries = gen[0][:, rows, cols]                         # (cells, E)
+    chunk = max(1, DRIVE_CHUNK_SAMPLES // (3 * cells))
+    fracs = np.linspace(0.0, 1.0, steps + 1)[:, None]
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        t0 = fracs[start:stop] * t_end
+        t1 = fracs[start + 1:stop + 1] * t_end
+        times = np.stack([t0, 0.5 * (t0 + t1), t1], axis=1)      # (n, 3, cells)
+        # (n, 3, cells, ops); the entries are formed step by step, which
+        # keeps the chunk's memory at that of the drive samples
+        coeffs = np.stack([np.broadcast_to(c, times.shape) for c in drive_fn(times)], axis=-1)
+        for step_coeffs in coeffs:
+            gen[:, :, rows, cols] = static_entries + step_coeffs @ op_entries
+            yield gen
 
 
 def evolve_schrodinger_batch(
@@ -326,55 +354,52 @@ def evolve_schrodinger_batch(
     t_end = np.atleast_1d(np.asarray(t_end, dtype=float))
     cells = t_end.shape[0]
     psi = np.array(np.broadcast_to(np.asarray(psi0, dtype=complex), (cells, np.shape(psi0)[-1])))
-    ops = [np.asarray(op, dtype=complex) for op in drive_ops]
-    entries = _sparse_entries(ops)
-    static = np.asarray(static, dtype=complex)
-    shared = static.ndim == 2
-    static_t = static.T if shared else None
+    stages = _stage_generators(np.asarray(static, dtype=complex), drive_ops, drive_fn, t_end, steps)
     dt = (t_end / steps)[:, None]
 
-    def apply_h(coeffs, y):
-        out = y @ static_t if shared else np.matmul(static, y[..., None])[..., 0]
-        for entry, c in zip(entries, coeffs):
-            for r, col, val in entry:
-                out[:, r] += (c * val) * y[:, col]
-        return out
+    def apply(gen, y):
+        return np.matmul(gen, y[..., None])[..., 0]
 
-    fracs = np.linspace(0.0, 1.0, steps + 1)
-    rec_marks = None
-    records = None
-    if record_every is not None:
-        rec_marks = set(range(0, steps, record_every)) | {steps}
-        records = [psi.copy()]
+    rec_marks = _record_marks(steps, record_every)
+    records = [psi.copy()] if rec_marks is not None else None
     max_drift = np.zeros(cells)
     # divergence of an individual cell is reported through the drift
     # diagnostic, not through floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            stage_c = drive_fn(_stage_times(fracs[step], fracs[step + 1], t_end))
-            c0 = [c[0] for c in stage_c]
-            c_mid = [c[1] for c in stage_c]
-            c1 = [c[2] for c in stage_c]
-            k1 = -1j * apply_h(c0, psi)
-            k2 = -1j * apply_h(c_mid, psi + (0.5 * dt) * k1)
-            k3 = -1j * apply_h(c_mid, psi + (0.5 * dt) * k2)
-            k4 = -1j * apply_h(c1, psi + dt * k3)
+        for step, gen in enumerate(stages, start=1):
+            k1 = apply(gen[0], psi)
+            k2 = apply(gen[1], psi + (0.5 * dt) * k1)
+            k3 = apply(gen[1], psi + (0.5 * dt) * k2)
+            k4 = apply(gen[2], psi + dt * k3)
             psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if rec_marks is not None and (step + 1) in rec_marks:
+            if rec_marks is not None and step in rec_marks:
                 records.append(psi.copy())
                 max_drift = np.maximum(max_drift, np.abs(np.linalg.norm(psi, axis=1) - 1.0))
         max_drift = np.maximum(max_drift, np.abs(np.linalg.norm(psi, axis=1) - 1.0))
 
-    rec_arr = np.swapaxes(np.array(records), 0, 1) if records is not None else None
-    rec_fracs = (
-        np.array(sorted(rec_marks)) / steps if rec_marks is not None else None
-    )
     return BatchResult(
         finals=psi,
-        records=rec_arr,
-        record_fractions=rec_fracs,
+        records=np.swapaxes(np.array(records), 0, 1) if records is not None else None,
+        record_fractions=np.array(sorted(rec_marks)) / steps if rec_marks is not None else None,
         diagnostics={"max_norm_drift": max_drift},
     )
+
+
+def _chain_states(static, ops, sources, rho0):
+    """Mask of the states that H, a jump source or rho0 touches.
+
+    The rest are decay products: nothing couples them coherently and no
+    channel leaves them, so their coherences stay exactly zero and only
+    their populations grow.
+    """
+    dim = static.shape[-1]
+    touched = (static != 0).reshape(-1, dim, dim).any(axis=0)
+    touched |= (rho0 != 0).reshape(-1, dim, dim).any(axis=0)
+    for op in ops:
+        touched |= op != 0
+    mask = touched.any(axis=0) | touched.any(axis=1)
+    mask[sources] = True
+    return mask
 
 
 def evolve_lindblad_batch(
@@ -386,74 +411,99 @@ def evolve_lindblad_batch(
     collapse operators, weights shaped (k,) shared or (cells, k) per cell
     (already including rate * |amplitude|^2); arbitrary jumps should go
     through evolve_lindblad cell by cell.
+
+    Only the chain block (the states touched by H, a jump source or rho0)
+    is integrated, under the no-jump generator H - (i/2) diag(G):
+    drho/dt = -i (M - M^+) with M = (H - (i/2) G) rho, plus the jumps that
+    land back in the chain on its diagonal.  Jumps into the other states
+    (decay products) feed a vector of product populations through the same
+    RK4 stages.  Nothing couples a product coherently and no channel leaves
+    one, so the master equation never creates coherences with the products:
+    finals and records, rebuilt as full (cells, d, d) matrices, equal the
+    full integration.
     """
     t_end = np.atleast_1d(np.asarray(t_end, dtype=float))
     cells = t_end.shape[0]
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[-1]
-    rho = np.array(np.broadcast_to(rho0, (cells, dim, dim)))
-    src, tgt, w = channels
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = np.broadcast_to(w, (cells, len(src)))
-    in_scatter = np.zeros((dim, len(src)))
-    in_scatter[tgt, np.arange(len(src))] = 1.0
-    out_scatter = np.zeros((dim, len(src)))
-    out_scatter[src, np.arange(len(src))] = 1.0
-    g_diag = w @ out_scatter.T                      # (cells, dim)
-    anticomm = 0.5 * (g_diag[:, :, None] + g_diag[:, None, :])
-    ops = [np.asarray(op, dtype=complex) for op in drive_ops]
-    entries = _sparse_entries(ops)
     static = np.asarray(static, dtype=complex)
-    dt = (t_end / steps)[:, None, None]
-    idx = np.arange(dim)
+    ops = [np.asarray(op, dtype=complex) for op in drive_ops]
+    src, tgt, w = channels
+    src, tgt = np.asarray(src, dtype=int), np.asarray(tgt, dtype=int)
+    w = np.broadcast_to(np.asarray(w, dtype=float), (cells, len(src)))
 
-    def rhs(coeffs, y):
-        m = np.matmul(static, y)
-        for entry, c in zip(entries, coeffs):
-            for r, col, val in entry:
-                m[:, r, :] += (c * val)[:, None] * y[:, col, :]
-        out = -1j * (m - np.swapaxes(m, -1, -2).conj())
-        out -= anticomm * y
-        diag_in = (y[:, src, src].real * w) @ in_scatter.T
-        out[:, idx, idx] += diag_in
+    in_chain = _chain_states(static, ops, src, rho0)
+    chain, products = np.flatnonzero(in_chain), np.flatnonzero(~in_chain)
+    n_chain = len(chain)
+    order = np.concatenate([chain, products])
+    position = np.empty(dim, dtype=int)
+    position[order] = np.arange(dim)
+    src_c = position[src]
+    # channel k moves w[:, k] * rho[src_k, src_k] to its target: a chain
+    # diagonal entry (the end-atom decays back to g_o) or a product population
+    route = np.eye(dim)[tgt][:, order]
+    g_diag = w @ np.eye(dim)[src][:, chain]
+
+    block = (..., chain[:, None], chain)
+    static_eff = static[block] - 0.5j * g_diag[:, :, None] * np.eye(n_chain)
+    stages = _stage_generators(static_eff, [op[block] for op in ops], drive_fn, t_end, steps)
+    rho = np.array(np.broadcast_to(rho0[block], (cells, n_chain, n_chain)))
+    pops = np.zeros((cells, len(products)))  # rho0 lies in the chain block
+    dt = (t_end / steps)[:, None]
+    dt_block = dt[:, :, None]
+
+    def rhs(gen, y):
+        a = np.matmul(gen, y)
+        out = a + np.swapaxes(a, -1, -2).conj()
+        flow = (y[:, src_c, src_c].real * w) @ route
+        diagonal = np.einsum("cii->ci", out)  # a writeable view
+        diagonal += flow[:, :n_chain]
+        return out, flow[:, n_chain:]
+
+    def to_full(y, p):
+        out = np.zeros((cells, dim, dim), dtype=complex)
+        out[:, chain[:, None], chain] = y
+        out[:, products, products] = p
         return out
 
-    fracs = np.linspace(0.0, 1.0, steps + 1)
-    rec_marks = None
+    def min_eigenvalue(y, p):
+        out = np.full(cells, np.nan)
+        finite = np.isfinite(y).all(axis=(1, 2))
+        if np.any(finite):
+            sym = 0.5 * (y[finite] + np.swapaxes(y[finite], -1, -2).conj())
+            eig = np.linalg.eigvalsh(sym).min(axis=1)
+            out[finite] = np.minimum(eig, p[finite].min(axis=1, initial=np.inf))
+        return out
+
+    # positivity is checked at every record point, as in evolve_lindblad,
+    # and at the end
+    rec_marks = _record_marks(steps, record_every)
     records = None
-    if record_every is not None:
-        rec_marks = set(range(0, steps, record_every)) | {steps}
-        records = [rho.copy()]
+    min_eig = np.full(cells, np.inf)
+    if rec_marks is not None:
+        records = [to_full(rho, pops)]
+        min_eig = min_eigenvalue(rho, pops)
     max_trace = np.zeros(cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            stage_c = drive_fn(_stage_times(fracs[step], fracs[step + 1], t_end))
-            c0 = [c[0] for c in stage_c]
-            c_mid = [c[1] for c in stage_c]
-            c1 = [c[2] for c in stage_c]
-            k1 = rhs(c0, rho)
-            k2 = rhs(c_mid, rho + (0.5 * dt) * k1)
-            k3 = rhs(c_mid, rho + (0.5 * dt) * k2)
-            k4 = rhs(c1, rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            trace = np.einsum("cii->c", rho).real
+        for step, gen in enumerate(stages, start=1):
+            k1, q1 = rhs(gen[0], rho)
+            k2, q2 = rhs(gen[1], rho + (0.5 * dt_block) * k1)
+            k3, q3 = rhs(gen[1], rho + (0.5 * dt_block) * k2)
+            k4, q4 = rhs(gen[2], rho + dt_block * k3)
+            rho = rho + (dt_block / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pops = pops + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            trace = np.einsum("cii->c", rho).real + pops.sum(axis=1)
             max_trace = np.maximum(max_trace, np.abs(trace - 1.0))
-            if rec_marks is not None and (step + 1) in rec_marks:
-                records.append(rho.copy())
+            if rec_marks is not None and step in rec_marks:
+                records.append(to_full(rho, pops))
+                min_eig = np.minimum(min_eig, min_eigenvalue(rho, pops))
+        min_eig = np.minimum(min_eig, min_eigenvalue(rho, pops))
 
     herm = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), axis=(1, 2))
-    sym = 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
-    min_eig = np.full(cells, np.nan)
-    finite = np.isfinite(sym).all(axis=(1, 2))
-    if np.any(finite):
-        min_eig[finite] = np.min(np.linalg.eigvalsh(sym[finite]), axis=1)
-    rec_arr = np.swapaxes(np.array(records), 0, 1) if records is not None else None
-    rec_fracs = np.array(sorted(rec_marks)) / steps if rec_marks is not None else None
     return BatchResult(
-        finals=rho,
-        records=rec_arr,
-        record_fractions=rec_fracs,
+        finals=to_full(rho, pops),
+        records=np.stack(records, axis=1) if records is not None else None,
+        record_fractions=np.array(sorted(rec_marks)) / steps if rec_marks is not None else None,
         diagnostics={
             "max_trace_drift": max_trace,
             "max_hermiticity_drift": herm,

@@ -14,7 +14,8 @@ max_O |O_2n - O_n| / 15 of the error of its finer value (RK4 is fourth
 order; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), and the group
 stops at the first pass where every cell is within dynamics.STEP_TOL.  Only
 that pass supplies values and solver diagnostics.  A cell still over
-tolerance at the cap keeps its cap value and is listed in ``cell_errors``.
+tolerance at the cap is listed in ``cell_errors`` with its cap values, and
+its values in the result are NaN, like those of every flagged cell.
 Runs that record a time series keep the fixed dynamics.DEFAULT_STEPS grid,
 since their sample times are tied to the step stride.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,7 +322,8 @@ def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
     doubling (final values only; a series needs a fixed step count).
     Returns (values, series, fractions, diagnostics): values[name] is (C,),
     series[name] is (C, R) when recording, diagnostics maps name -> (C,)
-    plus ``cell_errors`` and, under step control, ``step_passes``.
+    plus ``cell_errors`` and, under step control, ``step_passes``.  A cell
+    listed in ``cell_errors`` has NaN values; its entry keeps the raw ones.
     """
     order = np.argsort([p.n_atoms for p, _ in cells], kind="stable")
     values = {name: np.zeros(len(cells)) for name in obs_names}
@@ -361,6 +364,14 @@ def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
             fractions = batch.record_fractions
 
     diagnostics["cell_errors"] = _cell_errors(diagnostics, len(cells))
+    # a flagged cell's values are not results: they leave as NaN and are kept
+    # in its cell_errors entry
+    out = series if series is not None else values
+    for entry in diagnostics["cell_errors"]:
+        c = entry["cell"]
+        entry["values"] = {name: out[name][c].tolist() for name in obs_names}
+        for name in obs_names:
+            out[name][c] = np.nan
     if steps is None:
         diagnostics["step_passes"] = step_passes
     return values, series, fractions, diagnostics
@@ -423,7 +434,8 @@ def run_scenario(name_or_scenario, overrides=None) -> SweepResult:
     if isinstance(name_or_scenario, Scenario):
         scenario = name_or_scenario
     else:
-        scenario = get_scenario(name_or_scenario, grid=overrides.pop("grid", None))
+        grid = _int_override(overrides, "grid") if "grid" in overrides else None
+        scenario = get_scenario(name_or_scenario, grid=grid)
     if "steps" in overrides:
         scenario = dataclasses.replace(scenario, steps=_int_override(overrides, "steps"))
     if "record_every" in overrides:
@@ -589,7 +601,7 @@ def _rate_panels(n) -> tuple[Panel, ...]:
 
 
 def _registry(grid: int | None):
-    n = grid or 41
+    n = 41 if grid is None else grid
 
     def base(t_f, **kw):
         return SystemParams(**kw).with_t_f(t_f)
@@ -678,6 +690,9 @@ def available_scenarios() -> list[str]:
 
 
 def get_scenario(name: str, grid: int | None = None) -> Scenario:
+    """Registered scenario; ``grid`` sets the points per numeric axis (default 41)."""
+    if grid is not None and not (isinstance(grid, numbers.Integral) and grid >= 1):
+        raise ValidationError(f"grid must be an integer of at least 1, got {grid!r}")
     registry = _registry(grid)
     try:
         return registry[name]

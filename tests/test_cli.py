@@ -202,6 +202,8 @@ def test_outdir_environment_default(tmp_path, monkeypatch):
     (("scenario", "fig10a", "--steps", "500"), "steps must be at least 1000"),
     (("sweep", "--axis", "tf:a:b:3"), "start must be a number"),
     (("sweep", "--axis", "tf:10:20:-1"), "num must be at least 1"),
+    (("pulses", "--points", "abc"), "points must be an integer"),
+    (("pulses", "--points", "0"), "points must be at least 1"),
 ])
 def test_bad_numbers_give_json_error(capsys, argv, detail):
     code, _, err = run_cli(capsys, *argv)
@@ -220,3 +222,25 @@ def test_simulate_name_independent_of_out_dir(tmp_path, capsys):
         assert code == 0
         names.append(os.path.basename(json.loads(out)["csv"]))
     assert names[0] == names[1]
+
+
+def test_sweep_with_flagged_cell_exits_nonzero(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--schedule", "adiabatic", "--tf", "40",
+        "--axis", "tf:40:1490:2", "--steps", "1000", "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_FLAGGED_CELLS
+    assert json.loads(err)["error"] == "CellErrors"
+    summary = json.loads(out)
+    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()[1:]]
+    assert math.isfinite(float(rows[0][3]))
+    assert rows[1][3] == "nan"
+    sidecar = json.loads(open(summary["sidecar"]).read())
+    (entry,) = sidecar["diagnostics"]["cell_errors"]
+    assert entry["cell"] == 1 and math.isfinite(entry["values"]["fidelity"])
+
+
+def test_flagged_cells_counted_over_panels():
+    assert cli._flagged_cells({"cell_errors": []}) == 0
+    panels = {"gamma": {"cell_errors": []}, "kappa_c": {"cell_errors": [{"cell": 2}]}}
+    assert cli._flagged_cells(panels) == 1

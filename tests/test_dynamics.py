@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cavityghz import dynamics, model, pulses
+from cavityghz import dynamics, experiments, model, observables, pulses
 from cavityghz.errors import IntegrationError, ValidationError
 from cavityghz.dynamics import TimeGrid
 
@@ -207,3 +208,127 @@ def test_batched_lindblad_rejects_multi_entry_channels():
     bad[0, 1] = bad[1, 0] = 1.0
     mats = bad[None]
     assert dynamics._single_entry_channels(mats, np.array([1.0])) is None
+
+
+# --- chain-block Lindblad batch ----------------------------------------------
+
+def open_pair(params, steps=1000, record_every=None, extra_ops=()):
+    """One open tqd cell through evolve_lindblad_batch and through the full
+    16x16-style single run; ``extra_ops`` are added to H with coefficient 1."""
+    space, terms, h = make_tqd_setup(params, open_system=True)
+    x1, xn = model.laser_couplings(space)
+    structure = model.channel_structure(space)
+    weights = (model.channel_rates(structure, params) * structure.amp_sq)[None, :]
+
+    def drive(t):
+        bar = pulses.tqd_pulse(t[..., 0], params)[..., None]
+        return (bar, bar) + tuple(np.ones_like(bar) for _ in extra_ops)
+
+    def h_full(t):
+        return h(t) + sum(extra_ops)
+
+    psi0 = space.basis_vector(0)
+    rho0 = np.outer(psi0, psi0.conj())
+    batch = dynamics.evolve_lindblad_batch(
+        terms.static, [x1.mat, xn.mat, *extra_ops], drive, rho0, [params.t_f],
+        (structure.sources, structure.targets, weights),
+        steps=steps, record_every=record_every,
+    )
+    single = dynamics.evolve_lindblad(
+        h_full, model.jump_operators(space, params), rho0,
+        TimeGrid(params.t_f, steps=steps, record_every=record_every or steps),
+    )
+    return space, batch, single
+
+
+@pytest.mark.parametrize("params", [
+    model.SystemParams(gamma=0.004, kappa_c=0.005, kappa_f=0.001).with_t_f(40.0),
+    experiments.natom_params(5, t_f=60.0).replace(gamma=0.006, kappa_c=0.003, kappa_f=0.002),
+], ids=["n3", "n5"])
+def test_chain_block_batch_matches_full_single_run(params):
+    space, batch, single = open_pair(params, steps=1000, record_every=250)
+    assert batch.finals.shape == (1, space.dim, space.dim)
+    assert np.max(np.abs(batch.finals[0] - single.final_state)) <= 1e-12
+    assert batch.records.shape == (1,) + single.states.shape
+    assert np.max(np.abs(batch.records[0] - single.states)) <= 1e-12
+    assert np.allclose(batch.record_fractions * params.t_f, single.times, rtol=0, atol=1e-12)
+    for name, value in single.diagnostics.items():
+        assert abs(batch.diagnostics[name][0] - value) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n_atoms", [3, 5, 7])
+def test_chain_states_are_the_coupled_chain(n_atoms):
+    params = model.SystemParams(n_atoms=n_atoms)
+    space = model.build_space(params, open_system=True)
+    terms = model.hamiltonian_terms(space, params, detuned=True)
+    x1, xn = model.laser_couplings(space)
+    structure = model.channel_structure(space)
+    rho0 = np.outer(space.basis_vector(0), space.basis_vector(0))
+    mask = dynamics._chain_states(terms.static, [x1.mat, xn.mat], structure.sources, rho0)
+    assert mask.sum() == 4 * n_atoms - 1 < space.dim
+
+
+def test_drive_op_touching_every_state_uses_full_matrix(open_space3, rng):
+    params = model.SystemParams(gamma=0.01, kappa_c=0.004, kappa_f=0.002).with_t_f(40.0)
+    dim = open_space3.dim
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    dense = 0.01 * (m + m.conj().T)
+    assert np.all(dense != 0)
+    _, batch, single = open_pair(params, record_every=250, extra_ops=(dense,))
+    # the products are now coupled coherently, so nothing stays inert
+    assert np.abs(single.final_state[11:, :11]).max() > 1e-6
+    assert np.max(np.abs(batch.finals[0] - single.final_state)) <= 1e-12
+    for name, value in single.diagnostics.items():
+        assert abs(batch.diagnostics[name][0] - value) <= 1e-12, name
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(
+    gamma=st.floats(0.0, 0.02),
+    kappa_c=st.floats(0.0, 0.02),
+    kappa_f=st.floats(0.0, 0.02),
+    t_f=st.floats(30.0, 80.0),
+)
+def test_open_batch_properties(gamma, kappa_c, kappa_f, t_f):
+    params = model.SystemParams(gamma=gamma, kappa_c=kappa_c, kappa_f=kappa_f).with_t_f(t_f)
+    _, batch, single = open_pair(params)
+    rho = batch.finals[0]
+    assert batch.diagnostics["max_trace_drift"][0] <= 1e-9
+    assert abs(np.trace(rho).real - 1.0) <= 1e-9
+    assert batch.diagnostics["min_density_eigenvalue"][0] >= -1e-6
+    fidelity = observables.ghz_fidelity(
+        rho, observables.target_state(pulses.TQD, 3, dim=rho.shape[0]), schedule_kind=pulses.TQD
+    )
+    assert 0.0 <= fidelity <= 1.0
+    assert np.max(np.abs(rho - single.final_state)) <= 1e-12
+
+
+@pytest.mark.parametrize("cells", [1, 50])
+@pytest.mark.parametrize("open_system", [False, True])
+def test_drive_is_evaluated_per_chunk(open_space3, space3, cells, open_system):
+    space = open_space3 if open_system else space3
+    params = model.SystemParams()
+    static = model.hamiltonian_terms(space, params, detuned=True).static
+    x1, xn = model.laser_couplings(space)
+    sizes = []
+
+    def drive(t):
+        sizes.append(t.size)
+        return np.zeros_like(t), np.zeros_like(t)
+
+    psi0 = space.basis_vector(0)
+    t_end = np.full(cells, 40.0)
+    steps = 1000
+    if open_system:
+        structure = model.channel_structure(space)
+        dynamics.evolve_lindblad_batch(
+            static, [x1.mat, xn.mat], drive, np.outer(psi0, psi0), t_end,
+            (structure.sources, structure.targets, np.zeros(len(structure.sources))),
+            steps=steps,
+        )
+    else:
+        dynamics.evolve_schrodinger_batch(static, [x1.mat, xn.mat], drive, psi0, t_end, steps=steps)
+    assert sum(sizes) == 3 * steps * cells
+    chunk = max(1, dynamics.DRIVE_CHUNK_SAMPLES // (3 * cells))
+    assert len(sizes) == -(-steps // chunk)
+    assert max(sizes) <= dynamics.DRIVE_CHUNK_SAMPLES

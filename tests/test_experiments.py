@@ -247,3 +247,33 @@ def test_series_scenario_keeps_fixed_grid():
     assert res.provenance["steps"] == dynamics.DEFAULT_STEPS
     assert res.diagnostics["steps_used"] == dynamics.DEFAULT_STEPS
     assert "step_passes" not in res.diagnostics
+
+
+def test_get_scenario_rejects_bad_grid():
+    for grid in (0, -3, 2.5):
+        with pytest.raises(ValidationError, match="grid must be an integer of at least 1"):
+            experiments.get_scenario("fig10a", grid=grid)
+    assert len(experiments.get_scenario("fig10a").axes[0].values) == 41
+    assert len(experiments.get_scenario("fig10a", grid=1).axes[0].values) == 1
+    with pytest.raises(ValidationError, match="grid must be an integer"):
+        experiments.run_scenario("fig10a", {"grid": "x"})
+
+
+def test_flagged_cell_value_is_withheld():
+    # at 1000 steps the t_f = 1490 cell sits just past the RK4 stability
+    # limit: its fidelity is still a plausible finite number, but its norm
+    # has drifted by far more than the tolerance
+    scenario = experiments.Scenario(
+        name="withheld",
+        description="finite value over tolerance",
+        params=model.SystemParams().with_t_f(40.0),
+        schedule_kind="adiabatic",
+        axes=(SweepAxis("tf", (40.0, 1490.0)),),
+        steps=1000,
+    )
+    res = experiments.run_scenario(scenario)
+    values = res.block("fidelity").values
+    assert np.isfinite(values[0]) and np.isnan(values[1])
+    (entry,) = res.diagnostics["cell_errors"]
+    assert entry["cell"] == 1
+    assert np.isfinite(entry["values"]["fidelity"])
