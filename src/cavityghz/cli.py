@@ -24,8 +24,9 @@ from . import __version__, dynamics, experiments, hilbert, model, observables, p
 from .errors import CavityGhzError, ValidationError
 
 OUTDIR_ENV = "CAVITYGHZ_OUTDIR"
-# Exit status of a scenario or sweep that finished with cells over a solver
-# tolerance; their values are written as nan and listed in cell_errors.
+# Exit status of a scenario, sweep or simulate run that finished with cells
+# over a solver tolerance; their values are written as nan and listed in
+# cell_errors.
 EXIT_FLAGGED_CELLS = 3
 
 FREQUENCY_KEYS = ("g", "v", "omega0", "delta", "gamma", "kappa_c", "kappa_f")
@@ -311,32 +312,12 @@ def cmd_simulate(args) -> int:
     if config.steps is None:
         config = dataclasses.replace(config, steps=dynamics.DEFAULT_STEPS)
     params = config.params
-    space = model.build_space(params, open_system=config.open_system)
-    detuned = config.schedule == pulses.TQD
-    terms = model.hamiltonian_terms(space, params, detuned=detuned)
-    schedule = pulses.PulseSchedule(config.schedule, params)
-
-    def h_of_t(t):
-        om1, omn = schedule.drive(t)
-        return terms.at(om1, omn)
-
-    grid = dynamics.TimeGrid(
-        t_end=params.t_f, steps=config.steps, record_every=config.record_every
+    # a batch of one cell on the lockstep integrators of the sweeps, on a
+    # fixed step count: the series is tied to its record stride
+    values, series, fractions, diagnostics = experiments._run_cells(
+        config.schedule, config.open_system, [(params, 1.0)], config.steps,
+        config.observables, config.record_every,
     )
-    meta = {"schedule": config.schedule, "open_system": config.open_system}
-    psi0 = space.basis_vector(0)
-    if config.open_system:
-        jumps = model.jump_operators(space, params)
-        traj = dynamics.evolve_lindblad(
-            h_of_t, jumps, np.outer(psi0, psi0.conj()), grid, metadata=meta
-        )
-    else:
-        traj = dynamics.evolve_schrodinger(h_of_t, psi0, grid, metadata=meta)
-
-    fns = {
-        name: experiments._observable_fn(name, config.schedule, params, space.dim)
-        for name in config.observables
-    }
     os.makedirs(config.out_dir, exist_ok=True)
     # the name depends on the run alone: where it is written and the sweep
     # grid (unused by a single run) stay out of the hash
@@ -345,17 +326,18 @@ def cmd_simulate(args) -> int:
     csv_path = os.path.join(config.out_dir, stem + ".csv")
     with open(csv_path, "w") as fh:
         fh.write("t," + ",".join(config.observables) + "\n")
-        for t, state in zip(traj.times, traj.states):
-            vals = ",".join(_fmt(fns[name](state)) for name in config.observables)
-            fh.write(f"{_fmt(t)},{vals}\n")
+        for r, frac in enumerate(fractions):
+            vals = ",".join(_fmt(series[name][0, r]) for name in config.observables)
+            fh.write(f"{_fmt(frac * params.t_f)},{vals}\n")
+    diagnostics = experiments._summarize(diagnostics)
     summary = {
         "csv": csv_path,
-        "final": {name: fns[name](traj.final_state) for name in config.observables},
-        "diagnostics": traj.diagnostics,
+        "final": {name: values[name][0] for name in config.observables},
+        "diagnostics": diagnostics,
         "config": config.to_dict(),
     }
     print(json.dumps(summary, indent=2, default=float))
-    return 0
+    return _flagged_exit(diagnostics, "summary on stdout", csv=csv_path)
 
 
 def cmd_scenario(args) -> int:
@@ -382,7 +364,7 @@ def cmd_scenario(args) -> int:
         "diagnostics": result.diagnostics,
     }
     print(json.dumps(summary, indent=2, default=float))
-    return _flagged_exit(result, json_path)
+    return _flagged_exit(result.diagnostics, "sidecar", sidecar=json_path)
 
 
 def _parse_axis(text: str) -> experiments.SweepAxis:
@@ -423,7 +405,7 @@ def cmd_sweep(args) -> int:
     csv_path, json_path = experiments.write_result(result, config.out_dir)
     print(json.dumps({"csv": csv_path, "sidecar": json_path,
                       "diagnostics": result.diagnostics}, indent=2, default=float))
-    return _flagged_exit(result, json_path)
+    return _flagged_exit(result.diagnostics, "sidecar", sidecar=json_path)
 
 
 def _flagged_cells(diagnostics: dict) -> int:
@@ -433,16 +415,20 @@ def _flagged_cells(diagnostics: dict) -> int:
     return sum(_flagged_cells(d) for d in diagnostics.values() if isinstance(d, dict))
 
 
-def _flagged_exit(result, json_path: str) -> int:
-    """0, or EXIT_FLAGGED_CELLS with a JSON note on stderr when cells were flagged."""
-    flagged = _flagged_cells(result.diagnostics)
+def _flagged_exit(diagnostics: dict, holder: str, **paths: str) -> int:
+    """0, or EXIT_FLAGGED_CELLS with a JSON note on stderr when cells were flagged.
+
+    The note says that ``holder`` keeps the raw values and names the written
+    files given as ``paths``.
+    """
+    flagged = _flagged_cells(diagnostics)
     if not flagged:
         return 0
     print(json.dumps({
         "error": "CellErrors",
         "message": f"{flagged} cell(s) over a solver tolerance were written as nan; "
-        "their raw values and reasons are under cell_errors in the sidecar",
-        "sidecar": json_path,
+        f"their raw values and reasons are under cell_errors in the {holder}",
+        **paths,
     }), file=sys.stderr)
     return EXIT_FLAGGED_CELLS
 

@@ -83,10 +83,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def _suggest_steps(steps: int, drift: float, tol: float) -> int:
+def _refinement_hint(steps: int, drift: float, tol: float) -> str:
+    """Advice that closes an IntegrationError; a non-finite drift is a divergence."""
+    if not np.isfinite(drift):
+        return "the run diverged (the step is beyond the RK4 stability limit); increase steps"
     # RK4 global error ~ dt^4: scale the step count accordingly, with margin
     factor = (max(drift, tol) / tol) ** 0.25
-    return int(np.ceil(steps * factor * 1.2))
+    return f"increase steps to at least {int(np.ceil(steps * factor * 1.2))}"
 
 
 def _check_hermitian_at(h_of_t, times):
@@ -102,7 +105,8 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None, check_hermit
 
     ``h_of_t`` maps a time to the Hamiltonian matrix.  Raises
     ``IntegrationError`` naming the required step count if the norm drifts
-    by more than 1e-6.
+    by more than 1e-6 at a record point, or saying the run diverged if the
+    norm is no longer finite.
     """
     psi = np.asarray(psi0, dtype=complex).copy()
     norm0 = np.linalg.norm(psi)
@@ -127,10 +131,11 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None, check_hermit
         if (step + 1) in record:
             drift = abs(np.linalg.norm(psi) - 1.0)
             max_drift = max(max_drift, drift)
-            if drift > NORM_TOL:
+            # NaN-safe: a diverged state has NaN drift
+            if not drift <= NORM_TOL:
                 raise IntegrationError(
                     f"norm drift {drift:.3e} exceeds {NORM_TOL:g} at t={t:.6g}; "
-                    f"increase steps to at least {_suggest_steps(grid.steps, drift, NORM_TOL)}"
+                    + _refinement_hint(grid.steps, drift, NORM_TOL)
                 )
             states.append(psi.copy())
 
@@ -219,8 +224,9 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None, check_he
     """Integrate the master equation with fixed-step RK4.
 
     ``jumps`` is a list of JumpOperator (or (matrix, rate) pairs).  Trace
-    drift beyond 1e-6 or an eigenvalue below -1e-6 raises IntegrationError
-    with a suggested refinement.
+    drift beyond 1e-6 or an eigenvalue below -1e-6 at a record point raises
+    IntegrationError with a suggested refinement; a density matrix that is
+    no longer finite raises one saying the run diverged.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     dim = rho.shape[0]
@@ -253,15 +259,20 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None, check_he
         if (step + 1) in record:
             trace_drift = abs(np.trace(rho).real - 1.0)
             herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-            eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+            eig_min = np.nan  # eigvalsh cannot take a diverged matrix
+            if np.isfinite(rho).all():
+                eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
             max_trace_drift = max(max_trace_drift, trace_drift)
             max_herm_drift = max(max_herm_drift, herm_drift)
             min_eig = min(min_eig, eig_min)
-            if trace_drift > TRACE_TOL or eig_min < -POSITIVITY_TOL:
+            # NaN-safe: a diverged matrix has NaN drift or eigenvalue
+            if not (trace_drift <= TRACE_TOL and eig_min >= -POSITIVITY_TOL):
                 raise IntegrationError(
                     f"trace drift {trace_drift:.3e} / min eigenvalue {eig_min:.3e} out of "
-                    f"tolerance at t={t:.6g}; increase steps to at least "
-                    f"{_suggest_steps(grid.steps, max(trace_drift, -eig_min), TRACE_TOL)}"
+                    f"tolerance at t={t:.6g}; "
+                    + _refinement_hint(
+                        grid.steps, np.maximum(trace_drift, -eig_min), TRACE_TOL
+                    )
                 )
             states.append(rho.copy())
 

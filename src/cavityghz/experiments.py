@@ -153,32 +153,28 @@ AXIS_NAMES = (
 
 # --- batched drive over heterogeneous cells ------------------------------
 
-class _BatchDrive:
-    """Vectorized drive amplitudes for a list of (params, amp_scale) cells."""
+@dataclass(frozen=True)
+class _CellPulses:
+    """The pulse fields of a list of (params, amp_scale) cells as arrays.
 
-    def __init__(self, kind: str, cells):
-        self.kind = kind
-        get = lambda f: np.array([f(p) for p, _ in cells], dtype=float)
-        self.omega0 = get(lambda p: p.omega0)
-        self.t0 = get(lambda p: p.t0)
-        self.tc = get(lambda p: p.tc)
-        self.t_f = get(lambda p: p.t_f)
-        self.alpha = get(lambda p: p.alpha)
-        self.delta = get(lambda p: p.delta)
-        self.n = get(lambda p: p.n_atoms)
-        self.scale = np.array([s for _, s in cells], dtype=float)
+    Passed to pulses.PulseSchedule in place of one SystemParams, it makes the
+    single drive implementation evaluate every cell at once.
+    """
 
-    def __call__(self, t_vec):
-        om1, om3, dom1, dom3 = pulses.stirap_components(
-            t_vec, self.omega0, self.t0, self.tc, self.t_f, self.alpha
-        )
-        if self.kind == ADIABATIC:
-            return self.scale * om1, self.scale * om3
-        theta_dot = (dom1 * om3 - om1 * dom3) / (om1**2 + om3**2)
-        eps = 1e-12 * self.omega0 / self.t_f
-        bar = pulses.cdd_amplitude(theta_dot, self.delta, self.n, eps)
-        scaled = self.scale * bar
-        return scaled, scaled
+    omega0: np.ndarray
+    t0: np.ndarray
+    tc: np.ndarray
+    t_f: np.ndarray
+    alpha: np.ndarray
+    delta: np.ndarray
+    n_atoms: np.ndarray
+
+    @classmethod
+    def of(cls, cells):
+        return cls(**{
+            f.name: np.array([getattr(p, f.name) for p, _ in cells], dtype=float)
+            for f in dataclasses.fields(cls)
+        })
 
 
 def _cell_statics(space, cells, detuned: bool):
@@ -206,7 +202,8 @@ def _group_integrator(kind, open_system, cells):
     detuned = kind == TQD
     static = _cell_statics(space, cells, detuned)
     x1, xn = model.laser_couplings(space)
-    drive = _BatchDrive(kind, cells)
+    scale = np.array([s for _, s in cells], dtype=float)
+    drive = pulses.PulseSchedule(kind, _CellPulses.of(cells), amplitude_scale=scale).drive
     t_end = np.array([p.t_f for p, _ in cells])
     psi0 = space.basis_vector(0)
     if not open_system:
@@ -287,10 +284,12 @@ FIRST_PASS_STEPS = dynamics.DEFAULT_STEPS // 16
 
 def _final_values(obs_fns, obs_names, batch):
     """name -> (cells,) observable values of a batch's final states."""
-    return {
-        name: np.array([fns[name](state) for fns, state in zip(obs_fns, batch.finals)])
-        for name in obs_names
-    }
+    # a diverged cell is flagged by its diagnostics, not by floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            name: np.array([fns[name](state) for fns, state in zip(obs_fns, batch.finals)])
+            for name in obs_names
+        }
 
 
 def _step_doubling(integrate, obs_fns, obs_names):
@@ -323,7 +322,8 @@ def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
     Returns (values, series, fractions, diagnostics): values[name] is (C,),
     series[name] is (C, R) when recording, diagnostics maps name -> (C,)
     plus ``cell_errors`` and, under step control, ``step_passes``.  A cell
-    listed in ``cell_errors`` has NaN values; its entry keeps the raw ones.
+    listed in ``cell_errors`` has NaN values and series; its entry keeps the
+    raw ones.
     """
     order = np.argsort([p.n_atoms for p, _ in cells], kind="stable")
     values = {name: np.zeros(len(cells)) for name in obs_names}
@@ -356,22 +356,25 @@ def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
             if record_every:
                 if series[name] is None:
                     series[name] = np.zeros((len(cells), batch.records.shape[1]))
-                series[name][idx] = [
-                    [fns[name](state) for state in records]
-                    for fns, records in zip(obs_fns, batch.records)
-                ]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    series[name][idx] = [
+                        [fns[name](state) for state in records]
+                        for fns, records in zip(obs_fns, batch.records)
+                    ]
         if record_every:
             fractions = batch.record_fractions
 
     diagnostics["cell_errors"] = _cell_errors(diagnostics, len(cells))
     # a flagged cell's values are not results: they leave as NaN and are kept
-    # in its cell_errors entry
+    # in its cell_errors entry (its series when recording)
     out = series if series is not None else values
     for entry in diagnostics["cell_errors"]:
         c = entry["cell"]
         entry["values"] = {name: out[name][c].tolist() for name in obs_names}
         for name in obs_names:
-            out[name][c] = np.nan
+            values[name][c] = np.nan
+            if series is not None:
+                series[name][c] = np.nan
     if steps is None:
         diagnostics["step_passes"] = step_passes
     return values, series, fractions, diagnostics

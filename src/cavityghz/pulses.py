@@ -55,30 +55,36 @@ def stirap_pair(t, params: SystemParams):
     return om1, om3
 
 
-def mixing_angle(t, params: SystemParams):
-    """Mixing angle theta = atan2(Omega_1, Omega_3) and its analytic derivative.
-
-    dtheta/dt = (dOmega_1 Omega_3 - Omega_1 dOmega_3) / (Omega_1^2 + Omega_3^2)
-    """
-    om1, om3, dom1, dom3 = stirap_components(
-        t, params.omega0, params.t0, params.tc, params.t_f, params.alpha
-    )
+def _theta_dot(om1, om3, dom1, dom3):
+    """dtheta/dt = (dOmega_1 Omega_3 - Omega_1 dOmega_3) / (Omega_1^2 + Omega_3^2)."""
     norm_sq = om1**2 + om3**2
     if np.any(norm_sq == 0.0):
         raise UndefinedAngleError(
             "mixing angle undefined where both Rabi frequencies vanish"
         )
-    theta = np.arctan2(om1, om3)
-    theta_dot = (dom1 * om3 - om1 * dom3) / norm_sq
-    return theta, theta_dot
+    return (dom1 * om3 - om1 * dom3) / norm_sq
+
+
+def mixing_angle(t, params: SystemParams):
+    """Mixing angle theta = atan2(Omega_1, Omega_3) and its analytic derivative."""
+    om1, om3, dom1, dom3 = stirap_components(
+        t, params.omega0, params.t0, params.tc, params.t_f, params.alpha
+    )
+    theta_dot = _theta_dot(om1, om3, dom1, dom3)
+    return np.arctan2(om1, om3), theta_dot
 
 
 def cdd_amplitude(theta_dot, delta, n_atoms, eps):
     """Counter-diabatic drive sqrt(N * delta * max(theta_dot, 0)).
 
-    The construction presumes a monotone mixing angle: magnitudes of
-    theta_dot below -eps signal a schedule the formula does not cover.
+    The construction presumes a positive detuning and a monotone mixing
+    angle: delta <= 0, or magnitudes of theta_dot below -eps, signal a
+    schedule the formula does not cover.
     """
+    if np.any(np.asarray(delta) <= 0):
+        raise ScheduleError(
+            f"shortcut drive requires delta > 0, got {float(np.min(delta))}"
+        )
     theta_dot = np.asarray(theta_dot, dtype=float)
     if np.any(theta_dot < -eps):
         worst = float(np.min(theta_dot))
@@ -92,10 +98,14 @@ def cdd_amplitude(theta_dot, delta, n_atoms, eps):
 
 
 def tqd_pulse(t, params: SystemParams):
-    """Shortcut drive amplitude Omega_bar(t) = sqrt(N delta dtheta/dt)."""
-    if params.delta <= 0:
-        raise ScheduleError(f"shortcut drive requires delta > 0, got {params.delta}")
-    _, theta_dot = mixing_angle(t, params)
+    """Shortcut drive amplitude Omega_bar(t) = sqrt(N delta dtheta/dt).
+
+    Like the other pulse formulas it broadcasts: ``params`` may hold its
+    pulse fields as arrays, one value per sweep cell.
+    """
+    theta_dot = _theta_dot(*stirap_components(
+        t, params.omega0, params.t0, params.tc, params.t_f, params.alpha
+    ))
     eps = 1e-12 * params.omega0 / params.t_f
     return cdd_amplitude(theta_dot, params.delta, params.n_atoms, eps)
 
@@ -111,7 +121,8 @@ class PulseSample:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Time-dependent drive for one run.
+    """Time-dependent drive for one run, or for a batch of sweep cells when
+    ``params`` holds per-cell arrays and the times broadcast against them.
 
     ``amplitude_scale`` multiplies the executed drive amplitudes only (a
     laser-power error); the designed mixing angle is unaffected, since theta

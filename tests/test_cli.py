@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from cavityghz import cli, model
+from cavityghz import cli, dynamics, experiments, model, pulses
 from cavityghz.errors import ValidationError
 
 
@@ -230,8 +231,9 @@ def test_sweep_with_flagged_cell_exits_nonzero(tmp_path, capsys):
         "--axis", "tf:40:1490:2", "--steps", "1000", "--out", str(tmp_path),
     )
     assert code == cli.EXIT_FLAGGED_CELLS
-    assert json.loads(err)["error"] == "CellErrors"
     summary = json.loads(out)
+    note = json.loads(err)
+    assert note["error"] == "CellErrors" and note["sidecar"] == summary["sidecar"]
     rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()[1:]]
     assert math.isfinite(float(rows[0][3]))
     assert rows[1][3] == "nan"
@@ -244,3 +246,90 @@ def test_flagged_cells_counted_over_panels():
     assert cli._flagged_cells({"cell_errors": []}) == 0
     panels = {"gamma": {"cell_errors": []}, "kappa_c": {"cell_errors": [{"cell": 2}]}}
     assert cli._flagged_cells(panels) == 1
+
+
+def _direct_series(config):
+    """Recorded observables of one run through the single-run integrators,
+    on the TimeGrid that simulate used before it became a batch of one."""
+    params = config.params
+    space = model.build_space(params, open_system=config.open_system)
+    terms = model.hamiltonian_terms(space, params, detuned=config.schedule == pulses.TQD)
+    schedule = pulses.PulseSchedule(config.schedule, params)
+
+    def h_of_t(t):
+        return terms.at(*schedule.drive(t))
+
+    grid = dynamics.TimeGrid(params.t_f, steps=config.steps, record_every=config.record_every)
+    psi0 = space.basis_vector(0)
+    if config.open_system:
+        traj = dynamics.evolve_lindblad(
+            h_of_t, model.jump_operators(space, params), np.outer(psi0, psi0.conj()), grid
+        )
+    else:
+        traj = dynamics.evolve_schrodinger(h_of_t, psi0, grid)
+    fns = [
+        experiments._observable_fn(name, config.schedule, params, space.dim)
+        for name in config.observables
+    ]
+    values = np.array([[fn(state) for fn in fns] for state in traj.states])
+    return [cli._fmt(t) for t in traj.times], values, traj.diagnostics
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tf", "72", "--steps", "4000", "--observables", "fidelity,leakage"),
+    ("--schedule", "adiabatic", "--tf", "72", "--steps", "4000",
+     "--observables", "fidelity,pop:phi1,pop:phiLast"),
+    ("--open", "--preset", "experimental", "--tf", "72", "--steps", "4000",
+     "--observables", "fidelity,leakage"),
+], ids=["closed-tqd", "closed-adiabatic", "open-experimental"])
+def test_simulate_matches_single_run_integrators(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads(out)
+    config = cli.parse_config(flags=summary["config"])
+    times, expected, diagnostics = _direct_series(config)
+    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()]
+    assert rows[0] == ["t", *config.observables]
+    assert [row[0] for row in rows[1:]] == times
+    values = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
+    assert values.shape == expected.shape
+    assert np.max(np.abs(values - expected)) <= 1e-10
+    final = [summary["final"][name] for name in config.observables]
+    assert np.max(np.abs(np.array(final) - expected[-1])) <= 1e-10
+    for name in diagnostics:
+        assert name in summary["diagnostics"]
+    assert summary["diagnostics"]["steps_used"] == 4000
+    assert summary["diagnostics"]["cell_errors"] == []
+
+
+@pytest.mark.parametrize("record_every", ["100", "1000"])
+def test_simulate_with_flagged_run_exits_nonzero(tmp_path, capsys, record_every):
+    # 1000 steps of 2/g: the run diverges
+    code, out, err = run_cli(
+        capsys, "simulate", "--steps", "1000", "--tf", "2000",
+        "--record-every", record_every, "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_FLAGGED_CELLS
+    summary = json.loads(out)
+    note = json.loads(err)
+    assert note["error"] == "CellErrors" and note["csv"] == summary["csv"]
+    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()[1:]]
+    assert all(row[1] == "nan" for row in rows)
+    assert math.isnan(summary["final"]["fidelity"])
+    (entry,) = summary["diagnostics"]["cell_errors"]
+    assert len(entry["values"]["fidelity"]) == len(rows)
+    assert entry["values"]["fidelity"][0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("simulate", "--delta", "-1"), "ScheduleError"),
+    (("sweep", "--delta", "-1", "--axis", "dg:-0.1:0.1:2"), "ScheduleError"),
+    (("sweep", "--delta", "0", "--axis", "dg:-0.1:0.1:2"), "ScheduleError"),
+    (("simulate", "--omega0", "0"), "UndefinedAngleError"),
+    (("sweep", "--omega0", "0", "--axis", "dg:-0.1:0.1:2"), "UndefinedAngleError"),
+])
+def test_bad_shortcut_drive_gives_json_error(tmp_path, capsys, argv, error):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert json.loads(err)["error"] == error
+    assert not list(tmp_path.iterdir())

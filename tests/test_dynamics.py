@@ -66,6 +66,23 @@ def test_norm_drift_raises_with_refinement_hint():
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("record_every", [1000, 100], ids=["end-only", "every-100"])
+@pytest.mark.parametrize("master_equation", [False, True], ids=["schrodinger", "lindblad"])
+def test_diverged_single_run_raises(master_equation, record_every):
+    # dt * |H| = 10, far beyond the RK4 stability limit of about 2.8: the
+    # state overflows, and its NaN or infinite drift must still be caught
+    grid = TimeGrid(t_end=1000.0, steps=1000, record_every=record_every)
+    with pytest.raises(IntegrationError, match="diverged"):
+        if master_equation:
+            jump = (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 0.1)
+            rho0 = np.diag([1.0, 0.0]).astype(complex)
+            dynamics.evolve_lindblad(lambda t: two_level(10.0), [jump], rho0, grid)
+        else:
+            psi0 = np.array([1.0, 0.0], dtype=complex)
+            dynamics.evolve_schrodinger(lambda t: two_level(10.0), psi0, grid)
+
+
 def test_initial_state_must_be_normalized():
     with pytest.raises(ValidationError, match="normalized"):
         dynamics.evolve_schrodinger(

@@ -84,6 +84,9 @@ def test_tqd_requires_positive_detuning():
     params = model.SystemParams(delta=0.0)
     with pytest.raises(ScheduleError, match="delta"):
         pulses.tqd_pulse(1.0, params)
+    # the batched drive of a sweep passes one detuning per cell
+    with pytest.raises(ScheduleError, match="delta > 0"):
+        pulses.cdd_amplitude(np.full((4, 2), 0.01), np.array([2.3, 0.0]), 3, 1e-15)
 
 
 def test_undefined_angle_when_drive_vanishes():
