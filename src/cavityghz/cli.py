@@ -336,7 +336,7 @@ def cmd_simulate(args) -> int:
         "diagnostics": diagnostics,
         "config": config.to_dict(),
     }
-    print(json.dumps(summary, indent=2, default=float))
+    print(experiments.json_text(summary, indent=2))
     return _flagged_exit(diagnostics, "summary on stdout", csv=csv_path)
 
 
@@ -363,7 +363,7 @@ def cmd_scenario(args) -> int:
         },
         "diagnostics": result.diagnostics,
     }
-    print(json.dumps(summary, indent=2, default=float))
+    print(experiments.json_text(summary, indent=2))
     return _flagged_exit(result.diagnostics, "sidecar", sidecar=json_path)
 
 
@@ -403,8 +403,8 @@ def cmd_sweep(args) -> int:
     )
     result = experiments.run_scenario(scenario)
     csv_path, json_path = experiments.write_result(result, config.out_dir)
-    print(json.dumps({"csv": csv_path, "sidecar": json_path,
-                      "diagnostics": result.diagnostics}, indent=2, default=float))
+    print(experiments.json_text({"csv": csv_path, "sidecar": json_path,
+                                 "diagnostics": result.diagnostics}, indent=2))
     return _flagged_exit(result.diagnostics, "sidecar", sidecar=json_path)
 
 

@@ -513,6 +513,22 @@ def _summarize(diag: dict) -> dict:
     return out
 
 
+def json_text(obj, **kwargs) -> str:
+    """JSON (RFC 8259) for ``obj``: a non-finite number, which JSON cannot
+    hold, is written as null."""
+    return json.dumps(_json_ready(obj), allow_nan=False, **kwargs)
+
+
+def _json_ready(obj):
+    if isinstance(obj, dict):
+        return {key: _json_ready(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(val) for val in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def provenance_hash(provenance: dict) -> str:
     payload = {k: v for k, v in provenance.items() if k != "hash"}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
@@ -558,7 +574,7 @@ def write_result(result: SweepResult, out_dir) -> tuple[str, str]:
         },
     }
     with open(json_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write(json_text(sidecar, indent=2, sort_keys=True))
     return csv_path, json_path
 
 

@@ -15,6 +15,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON lacks."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 # --- quantity parsing and config resolution --------------------------------
 
 def test_parse_quantity_forms():
@@ -242,6 +249,21 @@ def test_sweep_with_flagged_cell_exits_nonzero(tmp_path, capsys):
     assert entry["cell"] == 1 and math.isfinite(entry["values"]["fidelity"])
 
 
+def test_flagged_sweep_outputs_are_strict_json(tmp_path, capsys):
+    # 1000 steps of 2/g: cell 1 diverges, so its drift and values are NaN
+    code, out, _ = run_cli(
+        capsys, "sweep", "--tf", "40", "--axis", "tf:40:2000:2", "--steps", "1000",
+        "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_FLAGGED_CELLS
+    summary = strict_json(out)
+    sidecar = strict_json(open(summary["sidecar"]).read())
+    for diagnostics in (summary["diagnostics"], sidecar["diagnostics"]):
+        assert diagnostics["max_norm_drift"] is None
+        (entry,) = diagnostics["cell_errors"]
+        assert entry["cell"] == 1 and entry["values"]["fidelity"] is None
+
+
 def test_flagged_cells_counted_over_panels():
     assert cli._flagged_cells({"cell_errors": []}) == 0
     panels = {"gamma": {"cell_errors": []}, "kappa_c": {"cell_errors": [{"cell": 2}]}}
@@ -310,12 +332,13 @@ def test_simulate_with_flagged_run_exits_nonzero(tmp_path, capsys, record_every)
         "--record-every", record_every, "--out", str(tmp_path),
     )
     assert code == cli.EXIT_FLAGGED_CELLS
-    summary = json.loads(out)
+    summary = strict_json(out)
     note = json.loads(err)
     assert note["error"] == "CellErrors" and note["csv"] == summary["csv"]
     rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()[1:]]
     assert all(row[1] == "nan" for row in rows)
-    assert math.isnan(summary["final"]["fidelity"])
+    # JSON has no NaN: a withheld value is null
+    assert summary["final"]["fidelity"] is None
     (entry,) = summary["diagnostics"]["cell_errors"]
     assert len(entry["values"]["fidelity"]) == len(rows)
     assert entry["values"]["fidelity"][0] == pytest.approx(0.5)

@@ -141,6 +141,19 @@ def test_lindblad_input_validation():
         dynamics.evolve_lindblad(h, [], rho, grid)
 
 
+def test_lindblad_without_jumps_is_the_pure_state_evolution():
+    # with no jumps the channel index arrays are empty, and must stay integer
+    grid = TimeGrid(t_end=5.0, steps=4000, record_every=400)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    traj_psi = dynamics.evolve_schrodinger(lambda t: two_level(0.5), psi0, grid)
+    traj_rho = dynamics.evolve_lindblad(
+        lambda t: two_level(0.5), [], np.outer(psi0, psi0.conj()), grid
+    )
+    assert len(traj_rho.states) == len(traj_psi.states)
+    for psi, rho in zip(traj_psi.states, traj_rho.states):
+        assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-12
+
+
 def test_lindblad_general_path_matches_fast_path(open_space3, rng):
     params = model.SystemParams(gamma=0.01, kappa_c=0.005, kappa_f=0.002)
     jumps = model.jump_operators(open_space3, params)
@@ -225,6 +238,63 @@ def test_batched_lindblad_rejects_multi_entry_channels():
     bad[0, 1] = bad[1, 0] = 1.0
     mats = bad[None]
     assert dynamics._single_entry_channels(mats, np.array([1.0])) is None
+
+
+# --- one-cell propagator order ----------------------------------------------
+
+@pytest.mark.parametrize("record_every", [100, None], ids=["every-100", "final-only"])
+@pytest.mark.parametrize("kind", [pulses.TQD, pulses.ADIABATIC])
+def test_one_cell_batch_matches_lockstep(kind, record_every):
+    # one cell takes the propagator order, two cells the lockstep loop
+    params = model.SystemParams().with_t_f(72.0)
+    _, one = experiments._group_integrator(kind, False, [(params, 1.0)])
+    _, two = experiments._group_integrator(kind, False, [(params, 1.0)] * 2)
+    single, pair = one(4000, record_every), two(4000, record_every)
+    assert single.finals.shape == (1,) + pair.finals.shape[1:]
+    assert np.max(np.abs(single.finals[0] - pair.finals[0])) <= 1e-12
+    if record_every is None:
+        assert single.records is None and single.record_fractions is None
+    else:
+        assert single.records.shape == (1,) + pair.records.shape[1:]
+        assert np.max(np.abs(single.records[0] - pair.records[0])) <= 1e-12
+        assert np.max(np.abs(single.record_fractions - pair.record_fractions)) <= 1e-12
+    drift = single.diagnostics["max_norm_drift"]
+    assert drift.shape == (1,)
+    assert abs(drift[0] - pair.diagnostics["max_norm_drift"][0]) <= 1e-12
+
+
+@pytest.mark.parametrize("n_atoms, cells, propagators", [
+    (3, 1, True), (7, 1, True), (3, 2, False), (9, 1, False),
+])
+def test_propagator_order_takes_one_small_cell(monkeypatch, n_atoms, cells, propagators):
+    # the propagators are d times the stage arithmetic: they pay for one
+    # cell of the registered chains (d <= 27), not for d = 35 or two cells
+    calls = []
+    original = dynamics._propagator_states
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "_propagator_states", spy)
+    params = model.SystemParams(n_atoms=n_atoms).with_t_f(72.0)
+    _, integrate = experiments._group_integrator(pulses.TQD, False, [(params, 1.0)] * cells)
+    integrate(1000)
+    assert bool(calls) == propagators
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("record_every", [100, None], ids=["every-100", "final-only"])
+def test_diverged_batch_reports_non_finite_drift(cells, record_every):
+    # dt * |H| = 10, far beyond the RK4 stability limit: the drift must come
+    # out non-finite, never as the 0.0 that max(0.0, nan) would give
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    batch = dynamics.evolve_schrodinger_batch(
+        np.zeros((2, 2), dtype=complex), [two_level(1.0)],
+        lambda t: (np.full_like(t, 10.0),), psi0, np.full(cells, 1000.0),
+        steps=1000, record_every=record_every,
+    )
+    assert not np.isfinite(batch.diagnostics["max_norm_drift"]).any()
 
 
 # --- chain-block Lindblad batch ----------------------------------------------

@@ -277,3 +277,10 @@ def test_flagged_cell_value_is_withheld():
     (entry,) = res.diagnostics["cell_errors"]
     assert entry["cell"] == 1
     assert np.isfinite(entry["values"]["fidelity"])
+
+
+def test_json_text_writes_non_finite_numbers_as_null():
+    obj = {"nan": np.float64(np.nan), "row": (np.inf, -np.inf, 1.5), "cells": [{"n": 3}]}
+    text = experiments.json_text(obj)
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {"nan": None, "row": [None, None, 1.5], "cells": [{"n": 3}]}
