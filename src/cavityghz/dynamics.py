@@ -5,22 +5,16 @@ evolve in lockstep as stacked arrays.  No renormalization is applied during
 integration; norm/trace drift is tracked as a diagnostic and turned into an
 error (with a suggested step count) when it exceeds tolerance.
 
-A batch of one state vector (a single run, or one cell per atom count) of
-dimension up to PROPAGATOR_MAX_DIM takes the same RK4 steps in another
-order.  The drive of a block of steps gives each step's exact RK4 map P, a
-d x d matrix, from three stacked matrix products, and the state then
-advances by one product psi <- P psi per step.  A step in lockstep costs
-about thirty small array operations instead, so for one cell of the N = 3
-chain the loop runs over three times faster.  Batches of two or more cells
-stay in lockstep: the propagators cost about 3d/4 times the stage
-arithmetic per cell, which grows with the batch while the lockstep overhead
-does not.  Measured at 2500 steps and d = 11 with the propagators stacked
-over cells, 16 cells take 0.55 s against 0.14 s in lockstep and 121 cells
-2.1 s against 0.87 s; two to four cells would still gain, but that tie
-moves with the machine.  Open runs keep their lockstep loop: the
-chain-block master equation of N = 3 is a 126-dimensional linear map per
-step, about 16k multiply-adds to apply against 5.3k for its four stages
-(11^3 each).
+One RK4 core serves every run: _lockstep_states (state vectors) and
+_lindblad_states (density matrices) consume a stream of per-step stage
+generators -i H at each step's start, midpoint and end, stacked over cells.
+The batched integrators build the stream from a static part and drive
+coefficients evaluated once per chunk of steps; evolve_schrodinger and
+evolve_lindblad are batches of one whose stream samples a callable H(t).
+A batched state vector of one small cell takes the same RK4 steps as
+per-step propagators (_propagator_states), over three times faster for the
+N = 3 chain; more cells, and density matrices, stay in lockstep, where the
+d x d propagator products would cost more than the stages.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .model import JumpOperator
+from .model import JumpOperator, single_entry
 
 NORM_TOL = 1e-6
 TRACE_TOL = 1e-6
@@ -109,18 +103,41 @@ def _refinement_hint(steps: int, drift: float, tol: float) -> str:
     return f"increase steps to at least {int(np.ceil(steps * factor * 1.2))}"
 
 
-def _check_hermitian_at(h_of_t, times):
-    for t in times:
+def _check_hermitian_at(h_of_t, grid: TimeGrid):
+    for t in (grid.t_start, (grid.t_start + grid.t_end) / 2, grid.t_end):
         mat = h_of_t(t)
         drift = np.max(np.abs(mat - mat.conj().T))
         if drift > 1e-10:
             raise ValidationError(f"Hamiltonian at t={t:.6g} is not Hermitian (drift {drift:.3e})")
 
 
-def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None, check_hermitian=True) -> Trajectory:
+def _sampled_stages(h_of_t, grid: TimeGrid, dim, shift=0.0):
+    """Yield, step by step, the (3, 1, d, d) generators -i (H(t) + shift) at
+    the start, midpoint and end of each step of ``grid``, sampling the
+    callable ``h_of_t`` three times per step.  The yielded array is
+    overwritten in place."""
+    dt = grid.dt
+    gen = np.empty((3, 1, dim, dim), dtype=complex)
+    for step in range(grid.steps):
+        t = grid.t_start + step * dt
+        for stage, time in enumerate((t, t + 0.5 * dt, t + dt)):
+            gen[stage, 0] = -1j * (h_of_t(time) + shift)
+        yield gen
+
+
+def _record_points(states, grid: TimeGrid):
+    """Yield (time, state) at the record points of ``grid`` after its start."""
+    record = set(grid.record_steps())
+    for step, state in enumerate(states, start=1):
+        if step in record:
+            yield grid.t_start + step * grid.dt, state
+
+
+def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None) -> Trajectory:
     """Integrate i dpsi/dt = H(t) psi with fixed-step RK4.
 
-    ``h_of_t`` maps a time to the Hamiltonian matrix.  Raises
+    ``h_of_t`` maps a time to the Hamiltonian matrix; the run is a batch of
+    one in the lockstep loop of the batched integrator.  Raises
     ``IntegrationError`` naming the required step count if the norm drifts
     by more than 1e-6 at a record point, or saying the run diverged if the
     norm is no longer finite.
@@ -129,32 +146,21 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None, check_hermit
     norm0 = np.linalg.norm(psi)
     if abs(norm0 - 1.0) > 1e-9:
         raise ValidationError(f"initial state must be normalized, |psi| = {norm0:.12f}")
-    if check_hermitian:
-        _check_hermitian_at(h_of_t, (grid.t_start, (grid.t_start + grid.t_end) / 2, grid.t_end))
+    _check_hermitian_at(h_of_t, grid)
 
-    dt = grid.dt
-    record = set(grid.record_steps())
-    states = [psi.copy()]
+    stages = _sampled_stages(h_of_t, grid, len(psi))
+    states = [psi]
     max_drift = 0.0
-    t = grid.t_start
-    for step in range(grid.steps):
-        k1 = -1j * (h_of_t(t) @ psi)
-        h_mid = h_of_t(t + 0.5 * dt)
-        k2 = -1j * (h_mid @ (psi + (0.5 * dt) * k1))
-        k3 = -1j * (h_mid @ (psi + (0.5 * dt) * k2))
-        k4 = -1j * (h_of_t(t + dt) @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = grid.t_start + (step + 1) * dt
-        if (step + 1) in record:
-            drift = abs(np.linalg.norm(psi) - 1.0)
-            max_drift = max(max_drift, drift)
-            # NaN-safe: a diverged state has NaN drift
-            if not drift <= NORM_TOL:
-                raise IntegrationError(
-                    f"norm drift {drift:.3e} exceeds {NORM_TOL:g} at t={t:.6g}; "
-                    + _refinement_hint(grid.steps, drift, NORM_TOL)
-                )
-            states.append(psi.copy())
+    for t, (psi,) in _record_points(_lockstep_states(stages, psi[None], grid.dt), grid):
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        max_drift = max(max_drift, drift)
+        # NaN-safe: a diverged state has NaN drift
+        if not drift <= NORM_TOL:
+            raise IntegrationError(
+                f"norm drift {drift:.3e} exceeds {NORM_TOL:g} at t={t:.6g}; "
+                + _refinement_hint(grid.steps, drift, NORM_TOL)
+            )
+        states.append(psi)
 
     return Trajectory(
         grid=grid,
@@ -166,86 +172,41 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None, check_hermit
     )
 
 
-def _normalize_jumps(jumps, dim):
-    mats, rates, labels = [], [], []
-    for j in jumps:
-        if isinstance(j, JumpOperator):
-            mats.append(np.asarray(j.operator.mat, dtype=complex))
-            rates.append(float(j.rate))
-            labels.append(j.label)
-        else:
-            op, rate = j
-            mats.append(np.asarray(getattr(op, "mat", op), dtype=complex))
-            rates.append(float(rate))
-            labels.append("")
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValidationError(f"jump operator shape {m.shape} does not match dimension {dim}")
-    return np.array(mats).reshape(len(mats), dim, dim), np.array(rates), labels
+def _jump_channels(jumps, dim):
+    """(sources, targets, weights) of jumps amp |target><source| given as
+    JumpOperator or (matrix, rate) pairs; weight = rate * |amp|^2."""
+    channels = []
+    for jump in jumps:
+        op, rate = (jump.operator, jump.rate) if isinstance(jump, JumpOperator) else jump
+        if not 0 <= rate < np.inf:  # NaN fails it
+            raise ValidationError(f"jump rate must be finite and non-negative, got {rate}")
+        mat = np.asarray(getattr(op, "mat", op), dtype=complex)
+        if mat.shape != (dim, dim):
+            raise ValidationError(f"jump operator shape {mat.shape} does not match dimension {dim}")
+        entry = single_entry(mat)
+        if entry is None:
+            count = np.count_nonzero(mat)
+            raise ValidationError(f"a jump operator must have one nonzero entry, got {count}")
+        src, tgt, amp_sq = entry
+        channels.append((src, tgt, float(rate) * amp_sq))
+    # shaped and typed, so that an empty jump list still gives index arrays
+    src, tgt, w = np.array(channels, dtype=float).reshape(-1, 3).T
+    return src.astype(int), tgt.astype(int), w
 
 
-def _single_entry_channels(mats, rates):
-    """Decompose jumps of the form amp*|target><source| for the fast path."""
-    sources, targets, weights = [], [], []
-    for mat, rate in zip(mats, rates):
-        nz = np.argwhere(mat != 0)
-        if len(nz) != 1:
-            return None
-        tgt, src = nz[0]
-        sources.append(src)
-        targets.append(tgt)
-        weights.append(rate * abs(mat[tgt, src]) ** 2)
-    # typed, so that an empty jump list still gives index arrays
-    sources, targets = np.array(sources, dtype=int), np.array(targets, dtype=int)
-    return sources, targets, np.array(weights, dtype=float)
-
-
-class LindbladRHS:
-    """Right-hand side of the master equation with precomputed channel data.
-
-    drho/dt = -i [H, rho] + sum_k (rate_k/2) (2 L rho L+ - L+ L rho - rho L+ L)
-
-    The anticommutator uses the precomputed G = sum rate L+ L.  When every
-    collapse operator has a single nonzero entry (always true for this model:
-    one decaying state per channel) the sandwich term reduces to a diagonal
-    scatter, which is also what the batched integrator relies on.
-    """
-
-    def __init__(self, h_of_t, jumps, dim):
-        self.h_of_t = h_of_t
-        self.mats, self.rates, _ = _normalize_jumps(jumps, dim)
-        self.g_op = np.einsum("k,kji,kjl->il", self.rates, self.mats.conj(), self.mats)
-        self.channels = _single_entry_channels(self.mats, self.rates)
-
-    def sandwich(self, rho):
-        if self.channels is not None:
-            src, tgt, w = self.channels
-            out = np.zeros_like(rho)
-            contrib = w * rho[..., src, src]
-            if rho.ndim == 2:
-                np.add.at(out, (tgt, tgt), contrib)
-            else:
-                np.add.at(out, (slice(None), tgt, tgt), contrib)
-            return out
-        tmp = np.einsum("kij,...jl->...kil", self.mats, rho)
-        return np.einsum("k,...kij,klj->...il", self.rates, tmp, self.mats.conj())
-
-    def __call__(self, t, rho):
-        m = self.h_of_t(t) @ rho
-        out = -1j * (m - np.swapaxes(m, -1, -2).conj())
-        out += self.sandwich(rho)
-        gr = self.g_op @ rho
-        out -= 0.5 * (gr + np.swapaxes(gr, -1, -2).conj())
-        return out
-
-
-def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None, check_hermitian=True) -> Trajectory:
+def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Trajectory:
     """Integrate the master equation with fixed-step RK4.
 
-    ``jumps`` is a list of JumpOperator (or (matrix, rate) pairs).  Trace
-    drift beyond 1e-6 or an eigenvalue below -1e-6 at a record point raises
-    IntegrationError with a suggested refinement; a density matrix that is
-    no longer finite raises one saying the run diverged.
+    drho/dt = -i [H, rho] + sum_k rate_k (L rho L+ - (1/2) {L+ L, rho})
+
+    ``jumps`` is a list of JumpOperator (or (matrix, rate) pairs) with a
+    single nonzero entry amp |target><source| each, as every channel of
+    this model has; any other jump raises ValidationError.  The run is a
+    batch of one in the RK4 loop of evolve_lindblad_batch with every state
+    in the chain block, since a callable H does not show which entries it
+    leaves zero.  Trace drift beyond 1e-6 or an eigenvalue below -1e-6 at a
+    record point raises IntegrationError with a suggested refinement; a
+    density matrix that is no longer finite raises one saying it diverged.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     dim = rho.shape[0]
@@ -255,45 +216,38 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None, check_he
         raise ValidationError("initial density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9:
         raise ValidationError(f"initial density matrix must have unit trace, got {np.trace(rho):.9f}")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
+    if min_eig < -1e-10:
         raise ValidationError("initial density matrix must be positive semidefinite")
-    if check_hermitian:
-        _check_hermitian_at(h_of_t, (grid.t_start, (grid.t_start + grid.t_end) / 2, grid.t_end))
+    _check_hermitian_at(h_of_t, grid)
+    src, tgt, w = _jump_channels(jumps, dim)
 
-    rhs = LindbladRHS(h_of_t, jumps, dim)
-    dt = grid.dt
-    record = set(grid.record_steps())
-    states = [rho.copy()]
+    g_diag = np.bincount(src, weights=w, minlength=dim)  # decay rate out of each state
+    stages = _sampled_stages(h_of_t, grid, dim, -0.5j * np.diag(g_diag))
+    # every state is in the chain block, so there are no product populations
+    run = _lindblad_states(
+        stages, rho[None], np.zeros((1, 0)), np.array([[grid.dt]]), src, w[None], np.eye(dim)[tgt]
+    )
+    states = [rho]
     max_trace_drift = 0.0
     max_herm_drift = 0.0
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-    t = grid.t_start
-    for step in range(grid.steps):
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * dt, rho + (0.5 * dt) * k1)
-        k3 = rhs(t + 0.5 * dt, rho + (0.5 * dt) * k2)
-        k4 = rhs(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = grid.t_start + (step + 1) * dt
-        if (step + 1) in record:
-            trace_drift = abs(np.trace(rho).real - 1.0)
-            herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-            eig_min = np.nan  # eigvalsh cannot take a diverged matrix
-            if np.isfinite(rho).all():
-                eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-            max_trace_drift = max(max_trace_drift, trace_drift)
-            max_herm_drift = max(max_herm_drift, herm_drift)
-            min_eig = min(min_eig, eig_min)
-            # NaN-safe: a diverged matrix has NaN drift or eigenvalue
-            if not (trace_drift <= TRACE_TOL and eig_min >= -POSITIVITY_TOL):
-                raise IntegrationError(
-                    f"trace drift {trace_drift:.3e} / min eigenvalue {eig_min:.3e} out of "
-                    f"tolerance at t={t:.6g}; "
-                    + _refinement_hint(
-                        grid.steps, np.maximum(trace_drift, -eig_min), TRACE_TOL
-                    )
-                )
-            states.append(rho.copy())
+    for t, ((rho,), _) in _record_points(run, grid):
+        trace_drift = abs(np.trace(rho).real - 1.0)
+        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
+        eig_min = np.nan  # eigvalsh cannot take a diverged matrix
+        if np.isfinite(rho).all():
+            eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+        max_trace_drift = max(max_trace_drift, trace_drift)
+        max_herm_drift = max(max_herm_drift, herm_drift)
+        min_eig = min(min_eig, eig_min)
+        # NaN-safe: a diverged matrix has NaN drift or eigenvalue
+        if not (trace_drift <= TRACE_TOL and eig_min >= -POSITIVITY_TOL):
+            raise IntegrationError(
+                f"trace drift {trace_drift:.3e} / min eigenvalue {eig_min:.3e} out of "
+                f"tolerance at t={t:.6g}; "
+                + _refinement_hint(grid.steps, np.maximum(trace_drift, -eig_min), TRACE_TOL)
+            )
+        states.append(rho)
 
     return Trajectory(
         grid=grid,
@@ -394,8 +348,8 @@ PROPAGATOR_BLOCK_BYTES = 3 * 32 * 11 * 11 * 16
 
 
 def _lockstep_states(stages, psi, dt):
-    """Advance a (cells, d) batch one RK4 step per stage triple of
-    _stage_generators, yielding the state after each step."""
+    """Advance a (cells, d) batch one RK4 step per (3, cells, d, d) stage
+    triple, yielding the state after each step."""
 
     def apply(gen, y):
         return np.matmul(gen, y[..., None])[..., 0]
@@ -499,15 +453,46 @@ def _chain_states(static, ops, sources, rho0):
     return mask
 
 
+def _lindblad_states(stages, rho, pops, dt, src, w, route):
+    """Advance a (cells, n, n) chain block and its (cells, p) product
+    populations one RK4 step per stage triple, yielding both after each step.
+
+    A stage generator is -i (H - (i/2) diag(G)) on the chain block, and
+    drho/dt = A rho + (A rho)^+ plus the jumps.  dt is (cells, 1); channel k
+    moves w[:, k] * rho[src_k, src_k] along the row route[k], whose first n
+    entries are the chain diagonal and the rest the product populations.
+    """
+    n = rho.shape[-1]
+    dt_block = dt[:, :, None]
+
+    def rhs(gen, y):
+        a = np.matmul(gen, y)
+        out = a + np.swapaxes(a, -1, -2).conj()
+        flow = (y[:, src, src].real * w) @ route
+        diagonal = np.einsum("cii->ci", out)  # a writeable view
+        diagonal += flow[:, :n]
+        return out, flow[:, n:]
+
+    for gen in stages:
+        k1, q1 = rhs(gen[0], rho)
+        k2, q2 = rhs(gen[1], rho + (0.5 * dt_block) * k1)
+        k3, q3 = rhs(gen[1], rho + (0.5 * dt_block) * k2)
+        k4, q4 = rhs(gen[2], rho + dt_block * k3)
+        rho = rho + (dt_block / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pops = pops + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        yield rho, pops
+
+
 def evolve_lindblad_batch(
     static, drive_ops, drive_fn, rho0, t_end, channels, steps=DEFAULT_STEPS, record_every=None
 ) -> BatchResult:
     """Lockstep RK4 for a batch of master-equation evolutions.
 
     ``channels`` is (sources, targets, weights) describing single-entry
-    collapse operators, weights shaped (k,) shared or (cells, k) per cell
-    (already including rate * |amplitude|^2); arbitrary jumps should go
-    through evolve_lindblad cell by cell.
+    collapse operators amp |target><source| (model.channel_structure),
+    weights shaped (k,) shared or (cells, k) per cell (already including
+    rate * |amp|^2).  Neither this nor evolve_lindblad integrates a
+    collapse operator with more than one nonzero entry.
 
     Only the chain block (the states touched by H, a jump source or rho0)
     is integrated, under the no-jump generator H - (i/2) diag(G):
@@ -546,16 +531,7 @@ def evolve_lindblad_batch(
     stages = _stage_generators(static_eff, [op[block] for op in ops], drive_fn, t_end, steps)
     rho = np.array(np.broadcast_to(rho0[block], (cells, n_chain, n_chain)))
     pops = np.zeros((cells, len(products)))  # rho0 lies in the chain block
-    dt = (t_end / steps)[:, None]
-    dt_block = dt[:, :, None]
-
-    def rhs(gen, y):
-        a = np.matmul(gen, y)
-        out = a + np.swapaxes(a, -1, -2).conj()
-        flow = (y[:, src_c, src_c].real * w) @ route
-        diagonal = np.einsum("cii->ci", out)  # a writeable view
-        diagonal += flow[:, :n_chain]
-        return out, flow[:, n_chain:]
+    states = _lindblad_states(stages, rho, pops, (t_end / steps)[:, None], src_c, w, route)
 
     def to_full(y, p):
         out = np.zeros((cells, dim, dim), dtype=complex)
@@ -582,13 +558,7 @@ def evolve_lindblad_batch(
         min_eig = min_eigenvalue(rho, pops)
     max_trace = np.zeros(cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, gen in enumerate(stages, start=1):
-            k1, q1 = rhs(gen[0], rho)
-            k2, q2 = rhs(gen[1], rho + (0.5 * dt_block) * k1)
-            k3, q3 = rhs(gen[1], rho + (0.5 * dt_block) * k2)
-            k4, q4 = rhs(gen[2], rho + dt_block * k3)
-            rho = rho + (dt_block / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            pops = pops + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        for step, (rho, pops) in enumerate(states, start=1):
             trace = np.einsum("cii->c", rho).real + pops.sum(axis=1)
             max_trace = np.maximum(max_trace, np.abs(trace - 1.0))
             if rec_marks is not None and step in rec_marks:

@@ -423,10 +423,6 @@ def annihilation(space: HilbertSpace, mode: ModeId) -> Operator:
     return transition_operator(space, move)
 
 
-def creation(space: HilbertSpace, mode: ModeId) -> Operator:
-    return annihilation(space, mode).dag()
-
-
 def atomic_op(space: HilbertSpace, atom: int, bra: AtomLevel, ket: AtomLevel) -> Operator:
     """|bra><ket| on one atom (0-based index), identity elsewhere, restricted to the basis."""
     if not 0 <= atom < space.n_atoms:

@@ -71,18 +71,17 @@ class SystemParams:
             raise ValidationError(problems)
 
     def validate(self) -> list[str]:
+        # every comparison is written so that NaN fails it
         problems = []
-        if self.g <= 0:
-            problems.append(f"g must be positive, got {self.g}")
-        if self.v <= 0:
-            problems.append(f"v must be positive, got {self.v}")
-        if self.t_f <= 0:
-            problems.append(f"t_f must be positive, got {self.t_f}")
-        if self.tc is not None and self.tc <= 0:
-            problems.append(f"tc must be positive, got {self.tc}")
-        for name in ("omega0", "gamma", "kappa_c", "kappa_f"):
+        positive = ("g", "v", "t_f", "tc")
+        non_negative = ("omega0", "gamma", "kappa_c", "kappa_f")
+        for name in positive + non_negative + ("t0", "delta", "alpha"):
             value = getattr(self, name)
-            if value < 0:
+            if not math.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
+            elif name in positive and not value > 0:
+                problems.append(f"{name} must be positive, got {value}")
+            elif name in non_negative and not value >= 0:
                 problems.append(f"{name} must be non-negative, got {value}")
         if self.n_atoms < 3 or self.n_atoms % 2 == 0:
             problems.append(
@@ -94,9 +93,9 @@ class SystemParams:
             problems.append(f"branching has non-ground levels: {sorted(k.value for k in unknown)}")
         else:
             total = sum(self.branching.get(level, 0.0) for level in GROUND_LEVELS)
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 problems.append(f"branching fractions must sum to 1, got {total}")
-            if any(f < 0 for f in self.branching.values()):
+            if not all(f >= 0 for f in self.branching.values()):
                 problems.append("branching fractions must be non-negative")
         return problems
 
@@ -134,8 +133,8 @@ class JumpOperator:
     label: str = ""
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValidationError(f"jump rate must be non-negative, got {self.rate}")
+        if not 0 <= self.rate < math.inf:  # NaN fails it
+            raise ValidationError(f"jump rate must be finite and non-negative, got {self.rate}")
 
 
 def build_space(params: SystemParams, open_system: bool = False) -> HilbertSpace:
@@ -262,6 +261,16 @@ class ChannelStructure:
     weights: tuple[str, ...]
 
 
+def single_entry(mat: np.ndarray) -> tuple[int, int, float] | None:
+    """(source, target, |amp|^2) of a collapse operator amp |target><source|,
+    or None if ``mat`` does not have exactly one nonzero entry."""
+    nz = np.argwhere(mat != 0)
+    if len(nz) != 1:
+        return None
+    tgt, src = nz[0]
+    return int(src), int(tgt), float(abs(mat[tgt, src]) ** 2)
+
+
 def channel_structure(space: HilbertSpace) -> ChannelStructure:
     if not space.includes_decay:
         raise DimensionError(
@@ -271,16 +280,15 @@ def channel_structure(space: HilbertSpace) -> ChannelStructure:
     sources, targets, amp_sq, weights = [], [], [], []
     for stencil in hilbert.decay_stencils(space.n_atoms):
         mat = transition_operator(space, stencil.forward).mat
-        nz = np.argwhere(mat != 0)
-        if len(nz) != 1:
+        entry = single_entry(mat)
+        if entry is None:
             raise DimensionError(
                 f"channel {stencil.label} is not a single-entry collapse "
-                f"({len(nz)} entries); the one-excitation assumption is broken"
+                f"({np.count_nonzero(mat)} entries); the one-excitation assumption is broken"
             )
-        tgt, src = nz[0]
-        sources.append(int(src))
-        targets.append(int(tgt))
-        amp_sq.append(float(abs(mat[tgt, src]) ** 2))
+        sources.append(entry[0])
+        targets.append(entry[1])
+        amp_sq.append(entry[2])
         weights.append(stencil.weight)
     return ChannelStructure(
         np.array(sources), np.array(targets), np.array(amp_sq), tuple(weights)

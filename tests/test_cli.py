@@ -221,6 +221,22 @@ def test_bad_numbers_give_json_error(capsys, argv, detail):
     assert any(detail in p for p in payload["details"])
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (("simulate", "--tf", "nan"), "t_f must be finite"),
+    (("simulate", "--t0", "nan"), "t0 must be finite"),
+    (("simulate", "--alpha", "nan"), "alpha must be finite"),
+    (("simulate", "--tf", "1e400"), "t_f must be finite"),
+    (("simulate", "--tc", "inf"), "tc must be finite"),
+])
+def test_non_finite_parameters_give_json_error(tmp_path, capsys, argv, detail):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert any(detail in p for p in payload["details"])
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_name_independent_of_out_dir(tmp_path, capsys):
     names = []
     for sub in ("a", "b"):

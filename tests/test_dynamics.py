@@ -154,18 +154,46 @@ def test_lindblad_without_jumps_is_the_pure_state_evolution():
         assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-12
 
 
-def test_lindblad_general_path_matches_fast_path(open_space3, rng):
-    params = model.SystemParams(gamma=0.01, kappa_c=0.005, kappa_f=0.002)
-    jumps = model.jump_operators(open_space3, params)
-    dim = open_space3.dim
-    rhs_fast = dynamics.LindbladRHS(lambda t: np.zeros((dim, dim)), jumps, dim)
-    rhs_general = dynamics.LindbladRHS(lambda t: np.zeros((dim, dim)), jumps, dim)
-    rhs_general.channels = None
-    assert rhs_fast.channels is not None
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho)
-    assert np.max(np.abs(rhs_fast(0.0, rho) - rhs_general(0.0, rho))) <= 1e-14
+def test_lindblad_matches_dense_superoperator_exponential(open_space3):
+    # independent oracle: the textbook Lindblad superoperator, built from the
+    # full jump matrices and exponentiated, at a constant drive
+    from scipy.linalg import expm
+
+    params = model.SystemParams(gamma=0.05, kappa_c=0.03, kappa_f=0.02)
+    space = open_space3
+    dim = space.dim
+    static = model.hamiltonian_terms(space, params, detuned=True).static
+    x1, xn = model.laser_couplings(space)
+    om1, omn = 0.3, 0.2
+    h = static + om1 * x1.mat + omn * xn.mat
+    jumps = model.jump_operators(space, params)
+    eye = np.eye(dim)
+    # row-major vec: vec(A rho B) = (A kron B^T) vec(rho)
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for jump in jumps:
+        lop = jump.operator.mat
+        ldl = lop.conj().T @ lop
+        sup += jump.rate * (
+            np.kron(lop, lop.conj()) - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl.T)
+        )
+    psi0 = space.basis_vector(0)
+    rho0 = np.outer(psi0, psi0.conj())
+    # the RK4 error here is 7.5e-10 and falls 16x per step doubling
+    grid = TimeGrid(t_end=20.0, steps=4000, record_every=1000)
+    exact = np.array([(expm(sup * t) @ rho0.ravel()).reshape(dim, dim) for t in grid.times()])
+    assert np.abs(exact[-1, 0, 0] - 1.0) > 0.1  # the drive and the decay act
+
+    single = dynamics.evolve_lindblad(lambda t: h, jumps, rho0, grid)
+    assert np.max(np.abs(single.states - exact)) <= 2e-9
+
+    structure = model.channel_structure(space)
+    weights = model.channel_rates(structure, params) * structure.amp_sq
+    batch = dynamics.evolve_lindblad_batch(
+        static, [x1.mat, xn.mat], lambda t: (np.full_like(t, om1), np.full_like(t, omn)),
+        rho0, [grid.t_end], (structure.sources, structure.targets, weights),
+        steps=grid.steps, record_every=grid.record_every,
+    )
+    assert np.max(np.abs(batch.records[0] - exact)) <= 2e-9
 
 
 def make_tqd_setup(params, open_system=False):
@@ -233,11 +261,26 @@ def test_batched_lindblad_matches_single_run():
     assert batch.diagnostics["min_density_eigenvalue"][0] >= -1e-9
 
 
-def test_batched_lindblad_rejects_multi_entry_channels():
-    bad = np.zeros((2, 2), dtype=complex)
-    bad[0, 1] = bad[1, 0] = 1.0
-    mats = bad[None]
-    assert dynamics._single_entry_channels(mats, np.array([1.0])) is None
+@pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
+def test_lindblad_rejects_bad_jump_rates(rate):
+    jump = (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), rate)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ValidationError, match="jump rate"):
+        dynamics.evolve_lindblad(lambda t: two_level(1.0), [jump], rho0, TimeGrid(5.0))
+    with pytest.raises(ValidationError, match="jump rate"):
+        model.JumpOperator(jump[0], rate)
+
+
+@pytest.mark.parametrize("jump", [
+    (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.1),
+    (np.zeros((2, 2), dtype=complex), 0.1),
+], ids=["sigma-x", "zero"])
+def test_lindblad_rejects_multi_entry_jumps(jump):
+    # only single-entry collapse operators amp |target><source| are integrated
+    assert model.single_entry(jump[0]) is None
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValidationError, match="one nonzero entry"):
+        dynamics.evolve_lindblad(lambda t: two_level(1.0), [jump], rho0, TimeGrid(5.0))
 
 
 # --- one-cell propagator order ----------------------------------------------

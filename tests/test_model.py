@@ -141,6 +141,20 @@ def test_params_validation_collects_all_problems():
     assert len(err.value.problems) >= 3
 
 
+@pytest.mark.parametrize("field", [
+    "g", "v", "omega0", "t_f", "t0", "tc", "delta", "alpha", "gamma", "kappa_c", "kappa_f",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        model.SystemParams(**{field: value})
+
+
+def test_params_reject_nan_branching():
+    with pytest.raises(ValidationError, match="branching"):
+        model.SystemParams(branching={L.G_O: float("nan"), L.G_L: 0.5, L.G_R: 0.5})
+
+
 def test_params_branching_must_sum_to_one():
     with pytest.raises(ValidationError, match="sum to 1"):
         model.SystemParams(branching={L.G_O: 0.5, L.G_L: 0.2, L.G_R: 0.2})
@@ -164,6 +178,14 @@ def test_experimental_rates():
     assert p.gamma == pytest.approx(2.62 / 750.0)
     assert p.kappa_c == pytest.approx(3.5 / 750.0)
     assert p.kappa_f == pytest.approx(1.52e5 / (2 * np.pi * 750e6))
+
+
+def test_channel_structure_rejects_multi_entry_channel(open_space3, monkeypatch):
+    # a channel that maps every state to itself has one entry per state
+    identity = hilbert.Stencil("identity", "kappa_c", lambda st: (st, 1.0))
+    monkeypatch.setattr(hilbert, "decay_stencils", lambda n_atoms: (identity,))
+    with pytest.raises(DimensionError, match="single-entry"):
+        model.channel_structure(open_space3)
 
 
 def test_channel_structure_matches_jump_operators(open_space3):
