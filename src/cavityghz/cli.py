@@ -84,7 +84,7 @@ class RunConfig:
     params: model.SystemParams = field(default_factory=model.SystemParams)
     schedule: str = pulses.TQD
     open_system: bool = False
-    steps: int | None = None  # None: step doubling in sweeps, DEFAULT_STEPS elsewhere
+    steps: int | None = None  # None: step doubling (experiments.default_steps)
     record_every: int = 100
     observables: tuple[str, ...] = ("fidelity",)
     out_dir: str = "."
@@ -208,12 +208,17 @@ def parse_config(file_data: dict | None = None, flags: dict | None = None) -> Ru
 
 
 def _number(raw, key, kind, problems, minimum=None, default=None):
-    """raw[key] converted by ``kind`` (int or float); a bad value joins ``problems``."""
+    """raw[key] converted by ``kind`` (int or float); a bad value joins ``problems``.
+
+    An int is never truncated: a config-file number like 3.5 is rejected.
+    """
     if raw.get(key) is None:
         return default
     try:
         value = kind(raw[key])
-    except (TypeError, ValueError):
+        if kind is int and isinstance(raw[key], float) and value != raw[key]:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         problems.append(f"{key} must be {noun}, got {raw[key]!r}")
         return None
@@ -310,10 +315,13 @@ def cmd_pulses(args) -> int:
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if config.steps is None:
-        config = dataclasses.replace(config, steps=dynamics.DEFAULT_STEPS)
+        config = dataclasses.replace(
+            config, steps=experiments.default_steps(config.record_every)
+        )
     params = config.params
-    # a batch of one cell on the lockstep integrators of the sweeps, on a
-    # fixed step count: the series is tied to its record stride
+    # a batch of one cell on the integrators of the sweeps; without --steps
+    # the step count is doubled until every recorded sample is within
+    # STEP_TOL, at the sample times of the fixed grid
     values, series, fractions, diagnostics = experiments._run_cells(
         config.schedule, config.open_system, [(params, 1.0)], config.steps,
         config.observables, config.record_every,
@@ -458,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include dissipation (master equation)")
     common.add_argument(
         "--steps",
-        help="fixed integrator step count (default: error-controlled for final-value "
-        f"sweeps, {dynamics.DEFAULT_STEPS} for simulate and time series)",
+        help="fixed integrator step count (default: error-controlled by step doubling; "
+        f"{dynamics.DEFAULT_STEPS} for a series whose --record-every does not divide it)",
     )
     common.add_argument("--record-every", dest="record_every")
     common.add_argument("--observables", help="comma-separated observable names")

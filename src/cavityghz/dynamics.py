@@ -30,11 +30,12 @@ NORM_TOL = 1e-6
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
 
-# Step counts.  DEFAULT_STEPS is the fixed grid of runs that record a time
-# series or name no step count on the single-run path, and the cap of the
-# step-doubling control for final-value sweeps; MIN_STEPS is the smallest
-# explicit step count accepted.  STEP_TOL bounds the Richardson estimate of
-# the error of every final observable of an error-controlled sweep.
+# Step counts.  DEFAULT_STEPS is the default grid of the single-run path,
+# the cap of the step-doubling control (experiments) and the fixed grid of
+# a series whose record stride does not divide it; MIN_STEPS is the
+# smallest explicit step count accepted.  STEP_TOL bounds the Richardson
+# estimate of the error of every recorded observable of an error-controlled
+# run.
 DEFAULT_STEPS = 20000
 MIN_STEPS = 1000
 STEP_TOL = 1e-8

@@ -6,18 +6,22 @@ or full time series.  Cells are independent: the cells of one atom count
 evolve in lockstep through the batched integrators, and reruns produce
 byte-identical results.
 
-Step count.  A scenario that names no ``steps`` and records final values
-only picks the step count of each atom-count group by step doubling: passes
-at FIRST_PASS_STEPS, twice that, and so on up to dynamics.DEFAULT_STEPS.
-After each pass every cell gets the Richardson estimate
-max_O |O_2n - O_n| / 15 of the error of its finer value (RK4 is fourth
-order; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), and the group
-stops at the first pass where every cell is within dynamics.STEP_TOL.  Only
-that pass supplies values and solver diagnostics.  A cell still over
-tolerance at the cap is listed in ``cell_errors`` with its cap values, and
-its values in the result are NaN, like those of every flagged cell.
-Runs that record a time series keep the fixed dynamics.DEFAULT_STEPS grid,
-since their sample times are tied to the step stride.
+Step count.  A scenario that names no ``steps`` picks the step count of
+each atom-count group by step doubling.  With R record intervals (1 for a
+final-value run, DEFAULT_STEPS / record_every for a series) the passes run
+at R * ceil(FIRST_PASS_STEPS / R) steps, twice that, and so on up to the
+first pass at or above dynamics.DEFAULT_STEPS; a series records every
+steps / R steps, so its sample times are those of the fixed grid on every
+pass.  After each pass every cell gets the Richardson estimate
+max |O_2n - O_n| / 15 of the error of its finer values, over every recorded
+sample of every observable (RK4 is fourth order; Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.4), and the group stops at the first pass where
+every cell is within dynamics.STEP_TOL.  Only that pass supplies values,
+series and solver diagnostics.  A cell still over tolerance at the cap is
+listed in ``cell_errors`` with its cap values, and its values in the result
+are NaN, like those of every flagged cell.  A series whose record_every does
+not divide DEFAULT_STEPS has no such ladder and keeps the fixed
+DEFAULT_STEPS grid (default_steps).
 
 Deviation axes (dg, dv, domega0, dT) are relative: the executed value is
 x * (1 + delta).  A timing deviation stretches the whole designed schedule
@@ -78,7 +82,7 @@ class Scenario:
     panels: tuple[Panel, ...] = ()
     observables: tuple[str, ...] = ("fidelity",)
     record_series: bool = False
-    steps: int | None = None  # None: step doubling, or the fixed default for series
+    steps: int | None = None  # None: step doubling (see default_steps)
     record_every: int = 200
 
     def __post_init__(self):
@@ -282,35 +286,60 @@ def _cell_errors(diagnostics, n_cells):
 FIRST_PASS_STEPS = dynamics.DEFAULT_STEPS // 16
 
 
-def _final_values(obs_fns, obs_names, batch):
-    """name -> (cells,) observable values of a batch's final states."""
+def default_steps(record_every=None):
+    """Step count of a run that names none: None (step doubling) for final
+    values and for a series whose ``record_every`` divides DEFAULT_STEPS;
+    the fixed DEFAULT_STEPS grid for any other series, whose sample times
+    could not stay the same from pass to pass."""
+    if record_every and dynamics.DEFAULT_STEPS % record_every:
+        return dynamics.DEFAULT_STEPS
+    return None
+
+
+def _pass_ladder(intervals):
+    """Step counts of the doubling passes for ``intervals`` record intervals:
+    multiples of it from FIRST_PASS_STEPS rounded up, doubled up to the
+    first at or above DEFAULT_STEPS (at least two passes)."""
+    ladder = [intervals * -(-FIRST_PASS_STEPS // intervals)]
+    while len(ladder) < 2 or ladder[-1] < dynamics.DEFAULT_STEPS:
+        ladder.append(2 * ladder[-1])
+    return ladder
+
+
+def _samples(obs_fns, obs_names, batch):
+    """name -> (cells, samples) observable values at every record point of a
+    batch, or at its final states alone when it recorded none."""
+    states = batch.records if batch.records is not None else batch.finals[:, None]
     # a diverged cell is flagged by its diagnostics, not by floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         return {
-            name: np.array([fns[name](state) for fns, state in zip(obs_fns, batch.finals)])
+            name: np.array([[fns[name](s) for s in cell] for fns, cell in zip(obs_fns, states)])
             for name in obs_names
         }
 
 
-def _step_doubling(integrate, obs_fns, obs_names):
-    """Double the step count until every cell's final values are within STEP_TOL.
+def _step_doubling(integrate, obs_fns, obs_names, intervals=None):
+    """Double the step count until every cell's samples are within STEP_TOL.
 
-    Returns (batch, values, error, passes) of the accepted (finer) pass:
-    error is the per-cell Richardson estimate, passes the step counts run.
+    With ``intervals`` record intervals the passes are _pass_ladder(intervals)
+    and each records every steps / intervals steps; without, they are
+    _pass_ladder(1) and only final values are compared.  Returns (batch, samples, error, passes) of the accepted
+    (finer) pass: error is the per-cell Richardson estimate over every
+    sample of every observable, passes the step counts run.
     """
-    steps = FIRST_PASS_STEPS
-    coarse = _final_values(obs_fns, obs_names, integrate(steps))
-    passes = [steps]
-    while True:
-        steps *= 2
-        batch = integrate(steps)
-        fine = _final_values(obs_fns, obs_names, batch)
-        passes.append(steps)
-        with np.errstate(invalid="ignore"):
-            error = np.max([np.abs(fine[n] - coarse[n]) for n in obs_names], axis=0) / 15.0
-        # NaN-safe: a diverged cell never passes
-        if np.all(error <= dynamics.STEP_TOL) or steps >= dynamics.DEFAULT_STEPS:
-            return batch, fine, error, passes
+    ladder = _pass_ladder(intervals or 1)
+    coarse = None
+    for k, steps in enumerate(ladder):
+        batch = integrate(steps, steps // intervals if intervals else None)
+        fine = _samples(obs_fns, obs_names, batch)
+        if coarse is not None:
+            with np.errstate(invalid="ignore"):
+                error = np.max(
+                    [np.max(np.abs(fine[n] - coarse[n]), axis=1) for n in obs_names], axis=0
+                ) / 15.0
+            # NaN-safe: a diverged cell never passes
+            if np.all(error <= dynamics.STEP_TOL) or k == len(ladder) - 1:
+                return batch, fine, error, ladder[:k + 1]
         coarse = fine
 
 
@@ -318,13 +347,22 @@ def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
     """Evolve heterogeneous cells and evaluate observables.
 
     ``steps=None`` chooses the step count of each atom-count group by step
-    doubling (final values only; a series needs a fixed step count).
+    doubling; a series then needs a ``record_every`` that divides
+    DEFAULT_STEPS (default_steps gives the fixed grid otherwise).
     Returns (values, series, fractions, diagnostics): values[name] is (C,),
     series[name] is (C, R) when recording, diagnostics maps name -> (C,)
     plus ``cell_errors`` and, under step control, ``step_passes``.  A cell
     listed in ``cell_errors`` has NaN values and series; its entry keeps the
     raw ones.
     """
+    intervals = None
+    if steps is None and record_every:
+        intervals, rest = divmod(dynamics.DEFAULT_STEPS, record_every)
+        if rest:
+            raise ConfigurationError(
+                f"record_every {record_every} does not divide {dynamics.DEFAULT_STEPS}: "
+                "a step-controlled series needs it to"
+            )
     order = np.argsort([p.n_atoms for p, _ in cells], kind="stable")
     values = {name: np.zeros(len(cells)) for name in obs_names}
     series = {name: None for name in obs_names} if record_every else None
@@ -341,26 +379,24 @@ def _run_cells(kind, open_system, cells, steps, obs_names, record_every=None):
             for p, _ in group
         ]
         if steps is None:
-            batch, finals, error, passes = _step_doubling(integrate, obs_fns, obs_names)
+            batch, samples, error, passes = _step_doubling(
+                integrate, obs_fns, obs_names, intervals
+            )
             diagnostics.setdefault("max_step_error", np.zeros(len(cells)))[idx] = error
             step_passes.append({"n_atoms": n_atoms, "steps": passes})
             diagnostics["steps_used"][idx] = passes[-1]
         else:
             batch = integrate(steps, record_every)
-            finals = _final_values(obs_fns, obs_names, batch)
+            samples = _samples(obs_fns, obs_names, batch)
             diagnostics["steps_used"][idx] = steps
         for name, arr in batch.diagnostics.items():
             diagnostics.setdefault(name, np.zeros(len(cells)))[idx] = arr
         for name in obs_names:
-            values[name][idx] = finals[name]
+            values[name][idx] = samples[name][:, -1]
             if record_every:
                 if series[name] is None:
-                    series[name] = np.zeros((len(cells), batch.records.shape[1]))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    series[name][idx] = [
-                        [fns[name](state) for state in records]
-                        for fns, records in zip(obs_fns, batch.records)
-                    ]
+                    series[name] = np.zeros((len(cells), samples[name].shape[1]))
+                series[name][idx] = samples[name]
         if record_every:
             fractions = batch.record_fractions
 
@@ -420,8 +456,11 @@ def _run_grid(scenario: Scenario) -> tuple[list[ResultBlock], dict]:
 def _int_override(overrides, key):
     value = overrides.pop(key)
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        number = int(value)
+        if isinstance(value, float) and number != value:
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{key} must be an integer, got {value!r}") from None
 
 
@@ -430,8 +469,9 @@ def run_scenario(name_or_scenario, overrides=None) -> SweepResult:
 
     ``overrides`` may set ``grid`` (points per numeric axis), ``steps``,
     ``record_every``, or any SystemParams field.  Without ``steps`` the step
-    count is error-controlled (see the module docstring), except for series
-    scenarios, which run on the fixed dynamics.DEFAULT_STEPS grid.
+    count is error-controlled (see the module docstring), time series
+    included; only a series whose ``record_every`` does not divide
+    dynamics.DEFAULT_STEPS runs on the fixed DEFAULT_STEPS grid.
     """
     overrides = dict(overrides or {})
     if isinstance(name_or_scenario, Scenario):
@@ -446,7 +486,7 @@ def run_scenario(name_or_scenario, overrides=None) -> SweepResult:
             scenario, record_every=_int_override(overrides, "record_every")
         )
     if scenario.steps is None and scenario.record_series:
-        scenario = dataclasses.replace(scenario, steps=dynamics.DEFAULT_STEPS)
+        scenario = dataclasses.replace(scenario, steps=default_steps(scenario.record_every))
     if overrides:
         scenario = dataclasses.replace(
             scenario, params=scenario.params.replace(**overrides)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ class SystemParams:
                 problems.append(f"{name} must be positive, got {value}")
             elif name in non_negative and not value >= 0:
                 problems.append(f"{name} must be non-negative, got {value}")
-        if self.n_atoms < 3 or self.n_atoms % 2 == 0:
+        n = self.n_atoms
+        if not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
             problems.append(
                 f"n_atoms must be an odd integer >= 3 (the alternating chain "
                 f"requires it), got {self.n_atoms}"

@@ -86,6 +86,27 @@ def test_config_round_trip():
     assert again == original
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 3.5), ("steps", 1500.7), ("record_every", 100.9), ("grid", 2.5),
+    ("steps", math.inf),
+])
+def test_config_file_integers_are_not_truncated(tmp_path, capsys, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["details"] == [f"{key} must be an integer, got {value!r}"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_config_file_integral_floats_accepted():
+    config = cli.parse_config(file_data={"n": 5.0, "steps": 4000.0, "record_every": 200.0})
+    assert config.params.n_atoms == 5 and isinstance(config.params.n_atoms, int)
+    assert (config.steps, config.record_every) == (4000, 200)
+
+
 def test_unknown_observable_listed():
     with pytest.raises(ValidationError, match="pop:phi2"):
         cli.parse_config(flags={"observables": "fidelity,pop:phi2"})
@@ -372,3 +393,60 @@ def test_bad_shortcut_drive_gives_json_error(tmp_path, capsys, argv, error):
     assert code == 1
     assert json.loads(err)["error"] == error
     assert not list(tmp_path.iterdir())
+
+
+# --- error-controlled step count of the trajectory ---------------------------
+
+def _trajectory(capsys, tmp_path, *argv):
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path))
+    summary = strict_json(out)
+    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()]
+    return code, summary, rows
+
+
+def test_simulate_step_control_matches_fine_fixed_grid(tmp_path, capsys):
+    code, summary, rows = _trajectory(capsys, tmp_path / "a", "--tf", "72")
+    assert code == 0
+    diag = summary["diagnostics"]
+    assert diag["step_passes"] == [{"n_atoms": 3, "steps": [1400, 2800, 5600]}]
+    assert diag["steps_used"] == 5600
+    assert 0.0 < diag["max_step_error"] <= dynamics.STEP_TOL
+    assert summary["config"]["steps"] is None
+    # twice the steps, and twice the stride, of the fixed grid: same samples
+    _, _, fine = _trajectory(
+        capsys, tmp_path / "b", "--tf", "72", "--steps", "40000", "--record-every", "200"
+    )
+    _, _, fixed = _trajectory(capsys, tmp_path / "c", "--tf", "72", "--steps", "20000")
+    assert len(rows) == 202
+    assert [r[0] for r in rows] == [r[0] for r in fine] == [r[0] for r in fixed]
+    values = np.array([float(r[1]) for r in rows[1:]])
+    assert np.max(np.abs(values - [float(r[1]) for r in fine[1:]])) <= 1e-8
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (("--steps", "4000"), 4000),
+    (("--record-every", "300"), dynamics.DEFAULT_STEPS),
+], ids=["explicit-steps", "indivisible-stride"])
+def test_simulate_fixed_grid_fallbacks(tmp_path, capsys, argv, steps):
+    code, summary, rows = _trajectory(capsys, tmp_path, "--tf", "72", *argv)
+    assert code == 0
+    assert summary["config"]["steps"] == steps
+    diag = summary["diagnostics"]
+    assert diag["steps_used"] == steps
+    assert "step_passes" not in diag and "max_step_error" not in diag
+    assert float(rows[-1][0]) == 72.0
+
+
+def test_simulate_flags_unresolved_series_at_cap(tmp_path, capsys):
+    # steps of about 2/g even at the cap: every pass runs and the run diverges
+    code, summary, rows = _trajectory(
+        capsys, tmp_path, "--schedule", "adiabatic", "--tf", "40000"
+    )
+    assert code == cli.EXIT_FLAGGED_CELLS
+    diag = summary["diagnostics"]
+    assert diag["step_passes"][0]["steps"] == [1400, 2800, 5600, 11200, 22400]
+    assert diag["steps_used"] == 22400
+    assert all(row[1] == "nan" for row in rows[1:])
+    assert summary["final"]["fidelity"] is None
+    (entry,) = diag["cell_errors"]
+    assert any(p.startswith("max_step_error") for p in entry["problems"])

@@ -66,6 +66,11 @@ def test_explicit_steps_below_minimum_rejected():
         experiments.run_scenario("fig10a", {"grid": 3, "steps": 500})
     with pytest.raises(ValidationError, match="steps must be an integer"):
         experiments.run_scenario("fig10a", {"grid": 3, "steps": "abc"})
+    # a fractional count is rejected, not truncated
+    with pytest.raises(ValidationError, match="steps must be an integer"):
+        experiments.run_scenario("fig10a", {"grid": 3, "steps": 1500.7})
+    with pytest.raises(ValidationError, match="record_every must be an integer"):
+        experiments.run_scenario("fig5", {"record_every": 100.9})
     with pytest.raises(ValidationError, match="steps must be at least"):
         experiments.Scenario("s", "too coarse", model.SystemParams(), steps=999)
 
@@ -242,11 +247,67 @@ def test_step_control_flags_unresolved_cell_at_cap():
     assert 0.0 <= healthy <= 1.0
 
 
-def test_series_scenario_keeps_fixed_grid():
-    res = experiments.run_scenario("fig5", {"record_every": 5000})
+def test_pass_ladder_keeps_record_intervals_whole():
+    assert experiments._pass_ladder(1) == [1250, 2500, 5000, 10000, 20000]
+    assert experiments._pass_ladder(200) == [1400, 2800, 5600, 11200, 22400]
+    assert experiments._pass_ladder(100) == [1300, 2600, 5200, 10400, 20800]
+    # a first pass already at the cap still gets a finer pass to compare with
+    assert experiments._pass_ladder(20000) == [20000, 40000]
+
+
+def test_series_scenario_doubles_steps_at_fixed_sample_times():
+    res = experiments.run_scenario("fig5", {"record_every": 1000})
+    fixed = experiments.run_scenario(
+        "fig5", {"record_every": 1000, "steps": dynamics.DEFAULT_STEPS}
+    )
+    diag = res.diagnostics
+    # 20 record intervals: passes are multiples of 20, recording every steps/20
+    assert diag["step_passes"] == [{"n_atoms": 3, "steps": [1260, 2520]}]
+    assert diag["steps_used"] == 2520
+    assert 0.0 < diag["max_step_error"] <= dynamics.STEP_TOL
+    assert diag["cell_errors"] == []
+    assert res.provenance["steps"] is None
+    assert res.provenance["step_tol"] == dynamics.STEP_TOL
+    for block in res.blocks:
+        reference = fixed.block(block.observable)
+        assert np.array_equal(block.axes[0][1], reference.axes[0][1])
+        assert np.max(np.abs(block.values - reference.values)) <= dynamics.STEP_TOL
+
+
+def test_series_scenario_matches_fine_fixed_grid():
+    res = experiments.run_scenario("fig7")
+    # twice the steps, and twice the stride, of the fixed grid: same samples
+    reference = experiments.run_scenario("fig7", {"steps": 40000, "record_every": 200})
+    for block in res.blocks:
+        ref = reference.block(block.observable)
+        assert np.array_equal(block.axes[0][1], ref.axes[0][1])
+        assert np.max(np.abs(block.values - ref.values)) <= 1e-8
+    for panel in ("tqd", "adiabatic"):
+        assert 0.0 < res.diagnostics[panel]["max_step_error"] <= dynamics.STEP_TOL
+
+
+def test_series_with_indivisible_stride_keeps_fixed_grid():
+    # 300 does not divide 20000: no pass ladder keeps these sample times
+    res = experiments.run_scenario("fig5", {"record_every": 300})
     assert res.provenance["steps"] == dynamics.DEFAULT_STEPS
+    assert res.provenance["step_tol"] is None
     assert res.diagnostics["steps_used"] == dynamics.DEFAULT_STEPS
     assert "step_passes" not in res.diagnostics
+    assert "max_step_error" not in res.diagnostics
+    assert experiments.default_steps(300) == dynamics.DEFAULT_STEPS
+    with pytest.raises(ConfigurationError, match="does not divide"):
+        experiments._run_cells(
+            "adiabatic", False, [(model.SystemParams(), 1.0)], None, ("fidelity",), 300
+        )
+
+
+def test_registered_series_strides_divide_default_steps():
+    # a registered figure must never fall back to the fixed grid unnoticed
+    for name in experiments.available_scenarios():
+        scenario = experiments.get_scenario(name)
+        if scenario.record_series:
+            assert dynamics.DEFAULT_STEPS % scenario.record_every == 0, name
+            assert experiments.default_steps(scenario.record_every) is None, name
 
 
 def test_get_scenario_rejects_bad_grid():

@@ -141,6 +141,12 @@ def test_params_validation_collects_all_problems():
     assert len(err.value.problems) >= 3
 
 
+@pytest.mark.parametrize("n_atoms", [3.5, 5.0, "3", True])
+def test_params_reject_non_integer_atom_count(n_atoms):
+    with pytest.raises(ValidationError, match="n_atoms must be an odd integer"):
+        model.SystemParams(n_atoms=n_atoms)
+
+
 @pytest.mark.parametrize("field", [
     "g", "v", "omega0", "t_f", "t0", "tc", "delta", "alpha", "gamma", "kappa_c", "kappa_f",
 ])
