@@ -36,6 +36,8 @@ RUN_KEYS = (
     "record_every", "observables", "out_dir", "grid", "preset",
 )
 KNOWN_KEYS = set(FREQUENCY_KEYS) | set(TIME_KEYS) | set(RUN_KEYS)
+# The settings a registered scenario takes; it fixes every other one itself.
+SCENARIO_KEYS = ("grid", "steps", "record_every", "out_dir")
 
 PRESETS = {
     "experimental": {
@@ -227,7 +229,8 @@ def _number(raw, key, kind, problems, minimum=None, default=None):
     return value
 
 
-def _config_from_args(args) -> RunConfig:
+def _settings_from_args(args) -> tuple[dict | None, dict]:
+    """The config-file values and the flag values of a command line."""
     file_data = None
     if args.config:
         with open(args.config) as fh:
@@ -240,7 +243,11 @@ def _config_from_args(args) -> RunConfig:
     flags = {k: getattr(args, k, None) for k in flag_keys}
     if getattr(args, "open_system", None):
         flags["open_system"] = True
-    return parse_config(file_data, flags)
+    return file_data, flags
+
+
+def _config_from_args(args) -> RunConfig:
+    return parse_config(*_settings_from_args(args))
 
 
 def _fmt(x: float) -> str:
@@ -349,12 +356,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    config = _config_from_args(args)
+    file_data, flags = _settings_from_args(args)
+    config = parse_config(file_data, flags)
+    given = {
+        key for source in (file_data or {}, flags)
+        for key, value in source.items() if value is not None
+    }
+    ignored = sorted(given - set(SCENARIO_KEYS))
+    if ignored:
+        raise ValidationError(
+            f"scenario {args.name} sets its own {', '.join(ignored)}; "
+            f"it takes only {', '.join(SCENARIO_KEYS)}"
+        )
     overrides = {}
     if config.grid is not None:
         overrides["grid"] = config.grid
     if config.steps is not None:
         overrides["steps"] = config.steps
+    if "record_every" in given:
+        overrides["record_every"] = config.record_every
     result = experiments.run_scenario(args.name, overrides)
     csv_path, json_path = experiments.write_result(result, config.out_dir)
     summary = {

@@ -7,9 +7,12 @@ error (with a suggested step count) when it exceeds tolerance.
 
 One RK4 core serves every run: _lockstep_states (state vectors) and
 _lindblad_states (density matrices) consume a stream of per-step stage
-generators -i H at each step's start, midpoint and end, stacked over cells.
-The batched integrators build the stream from a static part and drive
-coefficients evaluated once per chunk of steps; evolve_schrodinger and
+generators A = -i dt H at each step's start, midpoint and end, stacked over
+cells in one C-contiguous buffer.  Each cell's step dt is folded into its
+generators (and into its Lindblad channel weights), so the RK4 updates
+themselves carry only the scalars 1/2 and 1/6.  The batched integrators
+build the stream from a static part, scaled once, and drive coefficients
+evaluated and scaled once per chunk of steps; evolve_schrodinger and
 evolve_lindblad are batches of one whose stream samples a callable H(t).
 A batched state vector of one small cell takes the same RK4 steps as
 per-step propagators (_propagator_states), over three times faster for the
@@ -19,6 +22,7 @@ d x d propagator products would cost more than the stages.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +49,8 @@ STEP_TOL = 1e-8
 class TimeGrid:
     """Integration window [t_start, t_end] with a fixed step count.
 
-    Recorded samples always include both endpoints.
+    Recorded samples always include both endpoints.  The bounds must be
+    finite and ``steps`` and ``record_every`` integers, or ValidationError.
     """
 
     t_end: float
@@ -55,12 +60,17 @@ class TimeGrid:
 
     def __post_init__(self):
         problems = []
-        if self.t_end <= self.t_start:
-            problems.append(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
-        if self.steps < MIN_STEPS:
-            problems.append(f"steps must be at least {MIN_STEPS}, got {self.steps}")
-        if self.record_every < 1:
-            problems.append(f"record_every must be positive, got {self.record_every}")
+        bounds = f"[{self.t_start}, {self.t_end}]"
+        if not np.all(np.isfinite((self.t_start, self.t_end))):
+            problems.append(f"t_start and t_end must be finite, got {bounds}")
+        elif self.t_end <= self.t_start:
+            problems.append(f"t_end must exceed t_start, got {bounds}")
+        for name, minimum in (("steps", MIN_STEPS), ("record_every", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < minimum:
+                problems.append(f"{name} must be at least {minimum}, got {value}")
         if problems:
             raise ValidationError(problems)
 
@@ -113,16 +123,17 @@ def _check_hermitian_at(h_of_t, grid: TimeGrid):
 
 
 def _sampled_stages(h_of_t, grid: TimeGrid, dim, shift=0.0):
-    """Yield, step by step, the (3, 1, d, d) generators -i (H(t) + shift) at
-    the start, midpoint and end of each step of ``grid``, sampling the
-    callable ``h_of_t`` three times per step.  The yielded array is
-    overwritten in place."""
+    """Yield, step by step, the (3, 1, d, d) step-scaled generators
+    -i dt (H(t) + shift) at the start, midpoint and end of each step of
+    ``grid``, sampling the callable ``h_of_t`` three times per step.  The
+    yielded array is overwritten in place."""
     dt = grid.dt
+    scale = -1j * dt
     gen = np.empty((3, 1, dim, dim), dtype=complex)
     for step in range(grid.steps):
         t = grid.t_start + step * dt
         for stage, time in enumerate((t, t + 0.5 * dt, t + dt)):
-            gen[stage, 0] = -1j * (h_of_t(time) + shift)
+            gen[stage, 0] = scale * (h_of_t(time) + shift)
         yield gen
 
 
@@ -152,7 +163,7 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None) -> Trajector
     stages = _sampled_stages(h_of_t, grid, len(psi))
     states = [psi]
     max_drift = 0.0
-    for t, (psi,) in _record_points(_lockstep_states(stages, psi[None], grid.dt), grid):
+    for t, (psi,) in _record_points(_lockstep_states(stages, psi[None]), grid):
         drift = abs(np.linalg.norm(psi) - 1.0)
         max_drift = max(max_drift, drift)
         # NaN-safe: a diverged state has NaN drift
@@ -227,7 +238,7 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
     stages = _sampled_stages(h_of_t, grid, dim, -0.5j * np.diag(g_diag))
     # every state is in the chain block, so there are no product populations
     run = _lindblad_states(
-        stages, rho[None], np.zeros((1, 0)), np.array([[grid.dt]]), src, w[None], np.eye(dim)[tgt]
+        stages, rho[None], np.zeros((1, 0)), src, grid.dt * w[None], np.eye(dim)[tgt]
     )
     states = [rho]
     max_trace_drift = 0.0
@@ -274,7 +285,9 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
 # of steps, on an (n, 3, cells) array of the start, midpoint and end times
 # of n steps (the drive function must broadcast over it), and the drive ops
 # touch only a few matrix entries, so each step (or block of steps) rewrites
-# those entries of its stage Hamiltonians and leaves the static part alone.
+# those entries of its stage generators and leaves the static part alone.
+# The generators carry each cell's step: A_c(t) = -i dt_c H_c(t), with the
+# static part scaled once and the drive coefficients once per chunk.
 
 # Drive time samples per drive_fn call: a chunk holds as many steps as keep
 # 3 * steps * cells within this budget (at least one step).  Memory grows
@@ -297,8 +310,9 @@ def _record_marks(steps, record_every):
 
 
 def _stage_blocks(static, drive_ops, drive_fn, t_end, steps, block=1):
-    """Yield, block by block, the (n, 3, cells, d, d) generators -i H(t) at
-    the start, midpoint and end of n <= ``block`` consecutive steps.
+    """Yield, block by block, the C-contiguous (n, 3, cells, d, d) step-scaled
+    generators -i dt H(t) at the start, midpoint and end of n <= ``block``
+    consecutive steps, where cell c has dt = t_end[c] / steps.
 
     ``static`` is the (d, d) or (cells, d, d) time-independent part of H
     (non-Hermitian for an effective H).  The drive ops are reduced to the
@@ -307,10 +321,13 @@ def _stage_blocks(static, drive_ops, drive_fn, t_end, steps, block=1):
     """
     dim = static.shape[-1]
     cells = t_end.shape[0]
+    dt = t_end / steps
     ops = np.array([np.asarray(op, dtype=complex) for op in drive_ops]).reshape(-1, dim, dim)
     rows, cols = np.nonzero(np.any(ops != 0, axis=0))
     op_entries = -1j * ops[:, rows, cols]                          # (ops, E)
-    gen = np.array(np.broadcast_to(-1j * static, (block, 3, cells, dim, dim)))
+    # C order, so that every stage product reads contiguous matrices
+    gen = np.empty((block, 3, cells, dim, dim), dtype=complex)
+    gen[...] = (-1j * dt)[:, None, None] * static
     static_entries = gen[0, 0][:, rows, cols]                      # (cells, E)
     chunk = max(1, DRIVE_CHUNK_SAMPLES // (3 * cells))
     fracs = np.linspace(0.0, 1.0, steps + 1)[:, None]
@@ -319,9 +336,11 @@ def _stage_blocks(static, drive_ops, drive_fn, t_end, steps, block=1):
         t0 = fracs[start:stop] * t_end
         t1 = fracs[start + 1:stop + 1] * t_end
         times = np.stack([t0, 0.5 * (t0 + t1), t1], axis=1)      # (n, 3, cells)
-        # (n, 3, cells, ops); the entries are formed block by block, which
-        # keeps the chunk's memory at that of the drive samples
+        # (n, 3, cells, ops), scaled by each cell's step; the entries are
+        # formed block by block, which keeps the chunk's memory at that of
+        # the drive samples
         coeffs = np.stack([np.broadcast_to(c, times.shape) for c in drive_fn(times)], axis=-1)
+        coeffs *= dt[:, None]
         for first in range(0, len(coeffs), block):
             block_coeffs = coeffs[first:first + block]
             out = gen[:len(block_coeffs)]
@@ -348,40 +367,40 @@ PROPAGATOR_MAX_DIM = 27
 PROPAGATOR_BLOCK_BYTES = 3 * 32 * 11 * 11 * 16
 
 
-def _lockstep_states(stages, psi, dt):
-    """Advance a (cells, d) batch one RK4 step per (3, cells, d, d) stage
-    triple, yielding the state after each step."""
+def _lockstep_states(stages, psi):
+    """Advance a (cells, d) batch one RK4 step per (3, cells, d, d) triple of
+    step-scaled stage generators, yielding the state after each step."""
 
     def apply(gen, y):
         return np.matmul(gen, y[..., None])[..., 0]
 
     for gen in stages:
         k1 = apply(gen[0], psi)
-        k2 = apply(gen[1], psi + (0.5 * dt) * k1)
-        k3 = apply(gen[1], psi + (0.5 * dt) * k2)
-        k4 = apply(gen[2], psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = apply(gen[1], psi + 0.5 * k1)
+        k3 = apply(gen[1], psi + 0.5 * k2)
+        k4 = apply(gen[2], psi + k3)
+        psi = psi + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         yield psi
 
 
-def _propagator_states(blocks, psi, dt):
+def _propagator_states(blocks, psi):
     """Advance a (1, d) batch of one cell by each step's exact RK4 map,
     yielding the state after each step.
 
-    For the stage generators A1, A2, A3 of a step (A2 at the midpoint), the
-    RK4 stages are k_i = K_i psi with K1 = A1, K2 = A2 + dt/2 A2 K1,
-    K3 = A2 + dt/2 A2 K2 and K4 = A3 + dt A3 K3, so the step is the matrix
-    P = I + dt/6 (K1 + 2 K2 + 2 K3 + K4).  The P of a whole block of steps
-    are formed by three stacked matrix products, and the state then takes
-    one product per step.
+    For the step-scaled stage generators A1, A2, A3 of a step (A = -i dt H,
+    A2 at the midpoint), the RK4 increments are k_i = K_i psi with K1 = A1,
+    K2 = A2 + 1/2 A2 K1, K3 = A2 + 1/2 A2 K2 and K4 = A3 + A3 K3, so the
+    step is the matrix P = I + (K1 + 2 K2 + 2 K3 + K4) / 6.  The P of a
+    whole block of steps are formed by three stacked matrix products, and
+    the state then takes one product per step.
     """
     eye = np.eye(psi.shape[-1])
     for gen in blocks:                                             # (n, 3, 1, d, d)
         a1, a2, a3 = gen[:, 0, 0], gen[:, 1, 0], gen[:, 2, 0]
-        k2 = a2 + (0.5 * dt) * (a2 @ a1)
-        k3 = a2 + (0.5 * dt) * (a2 @ k2)
-        k4 = a3 + dt * (a3 @ k3)
-        prop = (dt / 6.0) * (a1 + 2.0 * (k2 + k3) + k4) + eye
+        k2 = a2 + 0.5 * (a2 @ a1)
+        k3 = a2 + 0.5 * (a2 @ k2)
+        k4 = a3 + a3 @ k3
+        prop = (a1 + 2.0 * (k2 + k3) + k4) / 6.0 + eye
         # psi is a row: psi P^T = (P psi^T)^T
         for prop_t in np.swapaxes(prop, 1, 2):
             psi = psi @ prop_t
@@ -407,14 +426,13 @@ def evolve_schrodinger_batch(
     dim = np.shape(psi0)[-1]
     psi = np.array(np.broadcast_to(np.asarray(psi0, dtype=complex), (cells, dim)))
     static = np.asarray(static, dtype=complex)
-    dt = (t_end / steps)[:, None]
     if cells == 1 and dim <= PROPAGATOR_MAX_DIM:
         block = max(1, PROPAGATOR_BLOCK_BYTES // (3 * dim * dim * 16))
         blocks = _stage_blocks(static, drive_ops, drive_fn, t_end, steps, block)
-        states = _propagator_states(blocks, psi, float(dt[0, 0]))
+        states = _propagator_states(blocks, psi)
     else:
         states = _lockstep_states(
-            _stage_generators(static, drive_ops, drive_fn, t_end, steps), psi, dt
+            _stage_generators(static, drive_ops, drive_fn, t_end, steps), psi
         )
 
     rec_marks = _record_marks(steps, record_every)
@@ -454,17 +472,18 @@ def _chain_states(static, ops, sources, rho0):
     return mask
 
 
-def _lindblad_states(stages, rho, pops, dt, src, w, route):
+def _lindblad_states(stages, rho, pops, src, w, route):
     """Advance a (cells, n, n) chain block and its (cells, p) product
     populations one RK4 step per stage triple, yielding both after each step.
 
-    A stage generator is -i (H - (i/2) diag(G)) on the chain block, and
-    drho/dt = A rho + (A rho)^+ plus the jumps.  dt is (cells, 1); channel k
-    moves w[:, k] * rho[src_k, src_k] along the row route[k], whose first n
-    entries are the chain diagonal and the rest the product populations.
+    A stage generator is the step-scaled A = -i dt (H - (i/2) diag(G)) on
+    the chain block, and the increment of rho over a step is
+    A rho + (A rho)^+ plus the jumps.  The (cells, k) weights w include the
+    step too: channel k moves w[:, k] * rho[src_k, src_k] (its rate times
+    |amp|^2 times dt) along the row route[k], whose first n entries are the
+    chain diagonal and the rest the product populations.
     """
     n = rho.shape[-1]
-    dt_block = dt[:, :, None]
 
     def rhs(gen, y):
         a = np.matmul(gen, y)
@@ -476,11 +495,11 @@ def _lindblad_states(stages, rho, pops, dt, src, w, route):
 
     for gen in stages:
         k1, q1 = rhs(gen[0], rho)
-        k2, q2 = rhs(gen[1], rho + (0.5 * dt_block) * k1)
-        k3, q3 = rhs(gen[1], rho + (0.5 * dt_block) * k2)
-        k4, q4 = rhs(gen[2], rho + dt_block * k3)
-        rho = rho + (dt_block / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pops = pops + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        k2, q2 = rhs(gen[1], rho + 0.5 * k1)
+        k3, q3 = rhs(gen[1], rho + 0.5 * k2)
+        k4, q4 = rhs(gen[2], rho + k3)
+        rho = rho + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        pops = pops + (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
         yield rho, pops
 
 
@@ -532,7 +551,8 @@ def evolve_lindblad_batch(
     stages = _stage_generators(static_eff, [op[block] for op in ops], drive_fn, t_end, steps)
     rho = np.array(np.broadcast_to(rho0[block], (cells, n_chain, n_chain)))
     pops = np.zeros((cells, len(products)))  # rho0 lies in the chain block
-    states = _lindblad_states(stages, rho, pops, (t_end / steps)[:, None], src_c, w, route)
+    w_step = w * (t_end / steps)[:, None]  # each cell's weights times its step
+    states = _lindblad_states(stages, rho, pops, src_c, w_step, route)
 
     def to_full(y, p):
         out = np.zeros((cells, dim, dim), dtype=complex)

@@ -173,12 +173,31 @@ class _CellPulses:
     delta: np.ndarray
     n_atoms: np.ndarray
 
-    @classmethod
-    def of(cls, cells):
-        return cls(**{
-            f.name: np.array([getattr(p, f.name) for p, _ in cells], dtype=float)
-            for f in dataclasses.fields(cls)
-        })
+
+def _cell_drive(kind, cells):
+    """Drive function of a list of (params, amp_scale) cells that evaluates
+    pulses.PulseSchedule.drive once per distinct pulse.
+
+    Cells with equal _CellPulses fields and amplitude scale share one drive
+    row: the surfaces that sweep couplings or rates (fig8a/b, fig9a/b,
+    fig10a) have a single row for all their cells.  A row's times are those
+    of any of its cells, since t_f is one of the fields; the coefficients
+    are expanded back to the cells on the last axis.
+    """
+    names = [f.name for f in dataclasses.fields(_CellPulses)]
+    keys = np.array([[getattr(p, name) for name in names] + [s] for p, s in cells], dtype=float)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if len(first) == len(cells):
+        # a pulse per cell: the drive takes the cells in order, uncopied
+        first = inverse = slice(None)
+    *fields, scale = np.ascontiguousarray(keys[first].T)
+    drive = pulses.PulseSchedule(kind, _CellPulses(*fields), amplitude_scale=scale).drive
+
+    def cell_drive(times):
+        return tuple(coeff[..., inverse] for coeff in drive(times[..., first]))
+
+    return cell_drive
 
 
 def _cell_statics(space, cells, detuned: bool):
@@ -206,8 +225,7 @@ def _group_integrator(kind, open_system, cells):
     detuned = kind == TQD
     static = _cell_statics(space, cells, detuned)
     x1, xn = model.laser_couplings(space)
-    scale = np.array([s for _, s in cells], dtype=float)
-    drive = pulses.PulseSchedule(kind, _CellPulses.of(cells), amplitude_scale=scale).drive
+    drive = _cell_drive(kind, cells)
     t_end = np.array([p.t_f for p, _ in cells])
     psi0 = space.basis_vector(0)
     if not open_system:

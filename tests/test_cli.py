@@ -193,6 +193,44 @@ def test_scenario_headline_cli(tmp_path, capsys):
     assert any("fidelity" in r for r in rows[1:])
 
 
+def test_scenario_forwards_record_every(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "scenario", "fig5", "--record-every", "1000", "--out", str(tmp_path)
+    )
+    assert code == 0
+    summary = strict_json(out)
+    rows = open(summary["csv"]).read().strip().splitlines()[1:]
+    assert len([r for r in rows if ",fidelity," in r]) == 21
+    assert json.load(open(summary["sidecar"]))["provenance"]["record_every"] == 1000
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("headline", "--steps", "2000", "--kappa-c", "0"), ["kappa_c"]),
+    (("fig10a", "--grid", "3", "--tf", "50", "--schedule", "adiabatic"), ["schedule", "tf"]),
+    (("headline", "--open", "--observables", "leakage"), ["observables", "open_system"]),
+    (("fig9a", "--preset", "experimental"), ["preset"]),
+])
+def test_scenario_rejects_settings_it_fixes(tmp_path, capsys, argv, keys):
+    code, out, err = run_cli(capsys, "scenario", *argv, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert ", ".join(keys) in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_scenario_rejects_config_file_settings(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"gamma": 0.01, "grid": 3}))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "scenario", "fig10a", "--config", str(config), "--out", str(out_dir)
+    )
+    assert code == 1
+    assert "gamma" in json.loads(err)["message"]
+    assert not out_dir.exists()
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "kappa_f:0:0.01:3", "--open",

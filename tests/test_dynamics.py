@@ -23,6 +23,17 @@ def test_timegrid_validation():
     assert times[0] == 0.0 and times[-1] == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("kwargs, detail", [
+    ({"t_end": float("nan")}, "must be finite"),
+    ({"t_end": float("inf")}, "must be finite"),
+    ({"t_end": 10.0, "steps": 1000.5}, "steps must be an integer"),
+    ({"t_end": 10.0, "record_every": 2.5}, "record_every must be an integer"),
+], ids=["nan-end", "inf-end", "fractional-steps", "fractional-stride"])
+def test_timegrid_rejects_non_finite_bounds_and_fractional_counts(kwargs, detail):
+    with pytest.raises(ValidationError, match=detail):
+        TimeGrid(**kwargs)
+
+
 def test_zero_hamiltonian_is_identity_evolution():
     psi0 = np.array([0.6, 0.8], dtype=complex)
     traj = dynamics.evolve_schrodinger(
@@ -281,6 +292,45 @@ def test_lindblad_rejects_multi_entry_jumps(jump):
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError, match="one nonzero entry"):
         dynamics.evolve_lindblad(lambda t: two_level(1.0), [jump], rho0, TimeGrid(5.0))
+
+
+# --- stage generators ---------------------------------------------------------
+
+@pytest.mark.parametrize("cells", [1, 3])
+@pytest.mark.parametrize("per_cell_static", [False, True], ids=["shared", "per-cell"])
+@pytest.mark.parametrize("block", [1, 32])
+def test_stage_blocks_are_contiguous_step_scaled_generators(
+    monkeypatch, rng, cells, per_cell_static, block
+):
+    # several drive chunks, and a last block shorter than the others
+    monkeypatch.setattr(dynamics, "DRIVE_CHUNK_SAMPLES", 300)
+    dim, steps = 5, 250
+    shape = (cells, dim, dim) if per_cell_static else (dim, dim)
+    static = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ops = np.zeros((2, dim, dim), dtype=complex)
+    ops[0, 0, 1] = ops[0, 1, 0] = 1.0
+    ops[1, 3, 4], ops[1, 4, 3], ops[1, 2, 2] = 0.5j, -0.5j, 2.0
+    t_end = np.linspace(40.0, 60.0, cells)
+
+    def coefficients(t):
+        return np.sin(0.3 * t), np.exp(-0.01 * t) * np.cos(t)
+
+    dt = t_end / steps
+    # the stage times of the shared fractional grid: start, midpoint, end
+    marks = np.linspace(0.0, 1.0, steps + 1)[:, None] * t_end
+    done = 0
+    for gen in dynamics._stage_blocks(static, ops, coefficients, t_end, steps, block):
+        n = gen.shape[0]
+        assert gen.flags["C_CONTIGUOUS"] and gen.shape == (n, 3, cells, dim, dim)
+        assert n <= block
+        t0, t1 = marks[done:done + n], marks[done + 1:done + n + 1]
+        times = np.stack([t0, 0.5 * (t0 + t1), t1], axis=1)              # (n, 3, cells)
+        c1, c2 = coefficients(times)
+        h = static + c1[..., None, None] * ops[0] + c2[..., None, None] * ops[1]
+        expected = dt[:, None, None] * (-1j * h)
+        assert np.max(np.abs(gen - expected)) <= 1e-15 * np.max(np.abs(expected))
+        done += n
+    assert done == steps
 
 
 # --- one-cell propagator order ----------------------------------------------

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cavityghz import dynamics, experiments, model
-from cavityghz.errors import ConfigurationError, ValidationError
+from cavityghz import dynamics, experiments, model, pulses
+from cavityghz.errors import ConfigurationError, ScheduleError, ValidationError
 from cavityghz.experiments import SweepAxis
 
 
@@ -345,3 +346,63 @@ def test_json_text_writes_non_finite_numbers_as_null():
     text = experiments.json_text(obj)
     assert "NaN" not in text and "Infinity" not in text
     assert json.loads(text) == {"nan": None, "row": [None, None, 1.5], "cells": [{"n": 3}]}
+
+
+# --- one drive evaluation per distinct pulse -----------------------------------
+
+def grid_cells(name, grid=3):
+    """Schedule kind and (params, amp_scale) cells of a registered 2-D scenario."""
+    scenario = experiments.get_scenario(name, grid=grid)
+    mesh = np.meshgrid(*[ax.values for ax in scenario.axes], indexing="ij")
+    cells = []
+    for point in zip(*(m.ravel() for m in mesh)):
+        p, s = scenario.params, 1.0
+        for ax, value in zip(scenario.axes, point):
+            p, s = experiments._apply_axis(p, s, ax.name, value)
+        cells.append((p, s))
+    return scenario.schedule_kind, cells
+
+
+@pytest.mark.parametrize("name, rows", [("fig10a", 1), ("fig10b", 9)])
+def test_drive_is_evaluated_once_per_distinct_pulse(monkeypatch, name, rows):
+    # fig10a varies the couplings only, so its 9 cells share one pulse;
+    # fig10b's timing and amplitude deviations give every cell its own
+    samples = []
+    drive = pulses.PulseSchedule.drive
+
+    def counting(self, t):
+        samples.append(np.size(t))
+        return drive(self, t)
+
+    monkeypatch.setattr(pulses.PulseSchedule, "drive", counting)
+    result = experiments.run_scenario(name, {"grid": 3})
+    (group,) = result.diagnostics["step_passes"]
+    assert sum(samples) == 3 * sum(group["steps"]) * rows
+
+
+@pytest.mark.parametrize("name", ["fig10a", "fig10b", "fig6", "fig9b"])
+def test_distinct_pulse_drive_equals_per_cell_drive(name):
+    kind, cells = grid_cells(name)
+    t_end = np.array([p.t_f for p, _ in cells])
+    times = np.linspace(0.0, 1.0, 7)[:, None, None] * np.array([1.0, 1.5, 2.0])[:, None] * t_end / 2
+    fields = {
+        f.name: np.array([getattr(p, f.name) for p, _ in cells], dtype=float)
+        for f in dataclasses.fields(experiments._CellPulses)
+    }
+    scale = np.array([s for _, s in cells])
+    per_cell = pulses.PulseSchedule(
+        kind, experiments._CellPulses(**fields), amplitude_scale=scale
+    ).drive(times)
+    deduplicated = experiments._cell_drive(kind, cells)(times)
+    assert len(deduplicated) == len(per_cell)
+    for got, want in zip(deduplicated, per_cell):
+        assert got.shape == times.shape
+        assert np.array_equal(got, want)
+
+
+def test_distinct_pulse_drive_checks_every_row():
+    _, cells = grid_cells("fig10a")
+    cells[4] = (cells[4][0].replace(delta=-1.0), cells[4][1])
+    drive = experiments._cell_drive(pulses.TQD, cells)
+    with pytest.raises(ScheduleError, match="delta > 0"):
+        drive(np.full((1, 3, len(cells)), 10.0))
