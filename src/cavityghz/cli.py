@@ -362,11 +362,14 @@ def cmd_scenario(args) -> int:
         key for source in (file_data or {}, flags)
         for key, value in source.items() if value is not None
     }
-    ignored = sorted(given - set(SCENARIO_KEYS))
+    # a final-value scenario records no series, so record_every would be ignored
+    series = experiments.get_scenario(args.name).record_series
+    takes = [key for key in SCENARIO_KEYS if series or key != "record_every"]
+    ignored = sorted(given - set(takes))
     if ignored:
         raise ValidationError(
             f"scenario {args.name} sets its own {', '.join(ignored)}; "
-            f"it takes only {', '.join(SCENARIO_KEYS)}"
+            f"it takes only {', '.join(takes)}"
         )
     overrides = {}
     if config.grid is not None:

@@ -188,9 +188,6 @@ def _cell_drive(kind, cells):
     keys = np.array([[getattr(p, name) for name in names] + [s] for p, s in cells], dtype=float)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
-    if len(first) == len(cells):
-        # a pulse per cell: the drive takes the cells in order, uncopied
-        first = inverse = slice(None)
     *fields, scale = np.ascontiguousarray(keys[first].T)
     drive = pulses.PulseSchedule(kind, _CellPulses(*fields), amplitude_scale=scale).drive
 

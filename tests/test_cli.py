@@ -209,6 +209,7 @@ def test_scenario_forwards_record_every(tmp_path, capsys):
     (("fig10a", "--grid", "3", "--tf", "50", "--schedule", "adiabatic"), ["schedule", "tf"]),
     (("headline", "--open", "--observables", "leakage"), ["observables", "open_system"]),
     (("fig9a", "--preset", "experimental"), ["preset"]),
+    (("fig10a", "--grid", "3", "--record-every", "50"), ["record_every"]),
 ])
 def test_scenario_rejects_settings_it_fixes(tmp_path, capsys, argv, keys):
     code, out, err = run_cli(capsys, "scenario", *argv, "--out", str(tmp_path))
