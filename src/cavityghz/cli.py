@@ -233,8 +233,22 @@ def _settings_from_args(args) -> tuple[dict | None, dict]:
     """The config-file values and the flag values of a command line."""
     file_data = None
     if args.config:
-        with open(args.config) as fh:
-            file_data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_data = json.load(fh)
+        except OSError as err:
+            raise ValidationError(
+                f"cannot read config file {args.config!r}: {err.strerror}"
+            ) from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValidationError(
+                f"config file {args.config!r} is not valid JSON: {err}"
+            ) from None
+        if not isinstance(file_data, dict):
+            raise ValidationError(
+                f"config file {args.config!r} must hold a JSON object, "
+                f"got {json.dumps(file_data)[:40]}"
+            )
     flag_keys = (
         "g", "v", "omega0", "delta", "gamma", "kappa_c", "kappa_f",
         "tf", "t0", "tc", "alpha", "n", "schedule", "steps",
@@ -248,6 +262,14 @@ def _settings_from_args(args) -> tuple[dict | None, dict]:
 
 def _config_from_args(args) -> RunConfig:
     return parse_config(*_settings_from_args(args))
+
+
+def _given_keys(file_data, flags) -> set[str]:
+    """The settings a command line gives, in its config file or as flags."""
+    return {
+        key for source in (file_data or {}, flags)
+        for key, value in source.items() if value is not None
+    }
 
 
 def _fmt(x: float) -> str:
@@ -337,6 +359,7 @@ def cmd_simulate(args) -> int:
     # the name depends on the run alone: where it is written and the sweep
     # grid (unused by a single run) stay out of the hash
     physics = {k: v for k, v in config.to_dict().items() if k not in ("out_dir", "grid")}
+    physics["method"] = experiments.step_method(config.steps).name
     stem = "simulate-" + experiments.provenance_hash(physics)
     csv_path = os.path.join(config.out_dir, stem + ".csv")
     with open(csv_path, "w") as fh:
@@ -348,6 +371,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "csv": csv_path,
         "final": {name: values[name][0] for name in config.observables},
+        "method": physics["method"],
         "diagnostics": diagnostics,
         "config": config.to_dict(),
     }
@@ -358,10 +382,7 @@ def cmd_simulate(args) -> int:
 def cmd_scenario(args) -> int:
     file_data, flags = _settings_from_args(args)
     config = parse_config(file_data, flags)
-    given = {
-        key for source in (file_data or {}, flags)
-        for key, value in source.items() if value is not None
-    }
+    given = _given_keys(file_data, flags)
     # a final-value scenario records no series, so record_every would be ignored
     series = experiments.get_scenario(args.name).record_series
     takes = [key for key in SCENARIO_KEYS if series or key != "record_every"]
@@ -418,7 +439,15 @@ def _parse_axis(text: str) -> experiments.SweepAxis:
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
+    file_data, flags = _settings_from_args(args)
+    config = parse_config(file_data, flags)
+    # the axes fix the grid, and a sweep records final values only
+    ignored = sorted(_given_keys(file_data, flags) & {"grid", "record_every"})
+    if ignored:
+        raise ValidationError(
+            f"sweep does not take {', '.join(ignored)}: --axis sets its grid "
+            "and it records final values only"
+        )
     axes = tuple(_parse_axis(spec) for spec in args.axis or ())
     if not axes:
         raise ValidationError("sweep needs at least one --axis name:start:stop:num")

@@ -1,23 +1,21 @@
-"""Fixed-step RK4 time evolution for state vectors and density matrices.
+"""Fixed-step explicit Runge-Kutta time evolution for state vectors and
+density matrices.
 
 Fixed stepping keeps runs bit-reproducible and lets independent sweep cells
 evolve in lockstep as stacked arrays.  No renormalization is applied during
 integration; norm/trace drift is tracked as a diagnostic and turned into an
 error (with a suggested step count) when it exceeds tolerance.
 
-One RK4 core serves every run: _lockstep_states (state vectors) and
-_lindblad_states (density matrices) consume a stream of per-step stage
-generators A = -i dt H at each step's start, midpoint and end, stacked over
-cells in one C-contiguous buffer.  Each cell's step dt is folded into its
-generators (and into its Lindblad channel weights), so the RK4 updates
-themselves carry only the scalars 1/2 and 1/6.  The batched integrators
-build the stream from a static part, scaled once, and drive coefficients
-evaluated and scaled once per chunk of steps; evolve_schrodinger and
-evolve_lindblad are batches of one whose stream samples a callable H(t).
-A batched state vector of one small cell takes the same RK4 steps as
-per-step propagators (_propagator_states), over three times faster for the
-N = 3 chain; more cells, and density matrices, stay in lockstep, where the
-d x d propagator products would cost more than the stages.
+A method is a Butcher tableau: RK4 for explicit step counts, DOP853 (order
+8) for the step-controlled runs of experiments.  One loop per state kind,
+_lockstep_states (state vectors) and _lindblad_states (density matrices),
+runs either on step-scaled stage generators A = -i dt H at the tableau's
+distinct nodes t + c dt, stacked over cells in C-contiguous buffers built
+from a static part, scaled once, and drive coefficients evaluated and
+scaled once per chunk of steps.  evolve_schrodinger and evolve_lindblad are
+batches of one whose generators sample a callable H(t).  One small cell of
+a batched state vector takes the same steps as per-step propagators
+(_propagator_states), over three times faster for the N = 3 chain.
 """
 
 from __future__ import annotations
@@ -43,6 +41,85 @@ POSITIVITY_TOL = 1e-6
 DEFAULT_STEPS = 20000
 MIN_STEPS = 1000
 STEP_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Tableau:
+    """An explicit Runge-Kutta method: stage i takes the generator at
+    t + c[i] dt on y + sum_j a_ij k_j and the step adds sum_i b_i k_i.  ``a``
+    holds, row by row, the (j, a_ij) pairs of the nonzero a_ij and ``b`` the
+    (i, b_i) pairs of the nonzero b_i, so that the stage sums skip zeros."""
+
+    name: str
+    order: int
+    a: tuple[tuple[tuple[int, float], ...], ...]
+    b: tuple[tuple[int, float], ...]
+    c: tuple[float, ...]
+
+    @property
+    def nodes(self) -> tuple[float, ...]:
+        """The distinct c values, in stage order."""
+        return tuple(dict.fromkeys(self.c))
+
+    @property
+    def stage_nodes(self) -> tuple[int, ...]:
+        """Index into ``nodes`` of each stage's c."""
+        return tuple(self.nodes.index(c) for c in self.c)
+
+
+RK4 = Tableau(
+    "rk4", 4, a=((), ((0, 0.5),), ((1, 0.5),), ((2, 1.0),)),
+    b=((0, 1 / 6), (1, 1 / 3), (2, 1 / 3), (3, 1 / 6)), c=(0.0, 0.5, 0.5, 1.0),
+)
+
+# Dormand and Prince's 8th-order method (Hairer, Norsett & Wanner, Solving
+# ODEs I, sec. II.5), the 12 stages of DOP853 without its error estimators.
+DOP853 = Tableau(
+    name="dop853",
+    order=8,
+    a=(
+        (),
+        ((0, 0.05260015195876773),),
+        ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+        ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+        ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+        ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+        ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+        (
+            (0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+            (5, -0.015319437748624402), (6, 0.008273789163814023),
+        ),
+        (
+            (0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+            (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996),
+        ),
+        (
+            (0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+            (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+            (8, -0.020331201708508627),
+        ),
+        (
+            (0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+            (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+            (8, 2.4936055526796523), (9, -3.0467644718982196),
+        ),
+        (
+            (0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+            (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+            (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636),
+        ),
+    ),
+    b=(
+        (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+        (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+        (10, 0.20136540080403034), (11, 0.04471061572777259),
+    ),
+    c=(
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+        0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+        1.0,
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -123,18 +200,17 @@ def _check_hermitian_at(h_of_t, grid: TimeGrid):
 
 
 def _sampled_stages(h_of_t, grid: TimeGrid, dim, shift=0.0):
-    """Yield, step by step, the (3, 1, d, d) step-scaled generators
-    -i dt (H(t) + shift) at the start, midpoint and end of each step of
-    ``grid``, sampling the callable ``h_of_t`` three times per step.  The
-    yielded array is overwritten in place."""
+    """Yield the RK4 stages of ``grid`` as _stage_entries does, with all of a
+    (1, d, d) buffer sampled: -i dt (H(t) + shift) at each node, in place."""
     dt = grid.dt
     scale = -1j * dt
-    gen = np.empty((3, 1, dim, dim), dtype=complex)
+    gen = np.empty((1, dim, dim), dtype=complex)
+    samples = np.empty((1, len(RK4.nodes), 1, dim, dim), dtype=complex)
     for step in range(grid.steps):
         t = grid.t_start + step * dt
-        for stage, time in enumerate((t, t + 0.5 * dt, t + dt)):
-            gen[stage, 0] = scale * (h_of_t(time) + shift)
-        yield gen
+        for node, c in enumerate(RK4.nodes):
+            samples[0, node, 0] = scale * (h_of_t(t + c * dt) + shift)
+        yield gen, ..., samples
 
 
 def _record_points(states, grid: TimeGrid):
@@ -163,7 +239,7 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None) -> Trajector
     stages = _sampled_stages(h_of_t, grid, len(psi))
     states = [psi]
     max_drift = 0.0
-    for t, (psi,) in _record_points(_lockstep_states(stages, psi[None]), grid):
+    for t, (psi,) in _record_points(_lockstep_states(stages, psi[None], RK4), grid):
         drift = abs(np.linalg.norm(psi) - 1.0)
         max_drift = max(max_drift, drift)
         # NaN-safe: a diverged state has NaN drift
@@ -238,7 +314,7 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
     stages = _sampled_stages(h_of_t, grid, dim, -0.5j * np.diag(g_diag))
     # every state is in the chain block, so there are no product populations
     run = _lindblad_states(
-        stages, rho[None], np.zeros((1, 0)), src, grid.dt * w[None], np.eye(dim)[tgt]
+        stages, rho[None], np.zeros((1, 0)), src, grid.dt * w[None], np.eye(dim)[tgt], RK4
     )
     states = [rho]
     max_trace_drift = 0.0
@@ -282,17 +358,19 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
 # The Hamiltonian is  H_c(t) = static[c] + sum_k coeff_k(t)[c] * op_k
 # where the ops are shared structure matrices and the coefficients come
 # from the vectorized pulse formulas.  The drive is evaluated once per chunk
-# of steps, on an (n, 3, cells) array of the start, midpoint and end times
-# of n steps (the drive function must broadcast over it), and the drive ops
-# touch only a few matrix entries, so each step (or block of steps) rewrites
-# those entries of its stage generators and leaves the static part alone.
-# The generators carry each cell's step: A_c(t) = -i dt_c H_c(t), with the
-# static part scaled once and the drive coefficients once per chunk.
+# of steps at the times t + c dt of the tableau's distinct nodes c (the drive
+# function must broadcast over them), and the drive ops touch only a few
+# matrix entries, which each stage rewrites in generators that carry each
+# cell's step: A_c(t) = -i dt_c H_c(t).
 
 # Drive time samples per drive_fn call: a chunk holds as many steps as keep
-# 3 * steps * cells within this budget (at least one step).  Memory grows
+# nodes * steps * cells within this budget (at least one step).  Memory grows
 # with the chunk, the Python overhead of the pulse formulas shrinks with it.
 DRIVE_CHUNK_SAMPLES = 12288
+# Bytes of stage increments per tile of cells: the lockstep loops take each
+# step in tiles of at least two cells within this budget, 288 open cells of
+# d = 11 under DOP853 (one tile of 1681 would hold 39 MB).
+CELL_TILE_BYTES = 2**23
 
 
 @dataclass
@@ -309,98 +387,99 @@ def _record_marks(steps, record_every):
     return set(range(0, steps, record_every)) | {steps}
 
 
-def _stage_blocks(static, drive_ops, drive_fn, t_end, steps, block=1):
-    """Yield, block by block, the C-contiguous (n, 3, cells, d, d) step-scaled
-    generators -i dt H(t) at the start, midpoint and end of n <= ``block``
-    consecutive steps, where cell c has dt = t_end[c] / steps.
+def _cell_tiles(cells, cell_bytes):
+    """Slices of consecutive cells within CELL_TILE_BYTES at ``cell_bytes``
+    each, or of two cells; a lone last cell joins the tile before it."""
+    starts = list(range(0, max(1, cells - 1), max(2, CELL_TILE_BYTES // cell_bytes)))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [cells])]
 
-    ``static`` is the (d, d) or (cells, d, d) time-independent part of H
-    (non-Hermitian for an effective H).  The drive ops are reduced to the
-    union of their nonzero entries; only those entries of the yielded array
-    change from block to block, so it is overwritten in place.
-    """
-    dim = static.shape[-1]
-    cells = t_end.shape[0]
+
+def _stage_entries(static, drive_ops, drive_fn, t_end, steps, nodes, lead=(), block=1):
+    """Yield, block by block, one C-contiguous ``lead + (cells, d, d)``
+    buffer holding -i dt static, the index of the drive ops' nonzero entries
+    in it, and the (n, len(nodes), cells, E) entries there of -i dt H(t + c dt)
+    at the ``nodes`` c of n <= ``block`` steps (dt = t_end[c] / steps for
+    cell c), which the loops write into the buffer in place.  ``static`` is
+    the (d, d) or (cells, d, d) time-independent part of H."""
+    cells, dim = t_end.shape[0], static.shape[-1]
     dt = t_end / steps
     ops = np.array([np.asarray(op, dtype=complex) for op in drive_ops]).reshape(-1, dim, dim)
-    rows, cols = np.nonzero(np.any(ops != 0, axis=0))
-    op_entries = -1j * ops[:, rows, cols]                          # (ops, E)
+    index = (..., *np.nonzero(np.any(ops != 0, axis=0)))
     # C order, so that every stage product reads contiguous matrices
-    gen = np.empty((block, 3, cells, dim, dim), dtype=complex)
+    gen = np.empty(lead + (cells, dim, dim), dtype=complex)
     gen[...] = (-1j * dt)[:, None, None] * static
-    static_entries = gen[0, 0][:, rows, cols]                      # (cells, E)
-    chunk = max(1, DRIVE_CHUNK_SAMPLES // (3 * cells))
-    fracs = np.linspace(0.0, 1.0, steps + 1)[:, None]
+    static_entries, op_entries = gen[(0,) * len(lead)][index], -1j * ops[index]  # (cells|ops, E)
+    c = np.asarray(nodes)[:, None]
+    chunk = max(1, DRIVE_CHUNK_SAMPLES // (len(nodes) * cells))
+    fracs = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
-        t0 = fracs[start:stop] * t_end
-        t1 = fracs[start + 1:stop + 1] * t_end
-        times = np.stack([t0, 0.5 * (t0 + t1), t1], axis=1)      # (n, 3, cells)
-        # (n, 3, cells, ops), scaled by each cell's step; the entries are
-        # formed block by block, which keeps the chunk's memory at that of
-        # the drive samples
-        coeffs = np.stack([np.broadcast_to(c, times.shape) for c in drive_fn(times)], axis=-1)
+        # exact at c = 0, 1/2 and 1
+        times = (1.0 - c) * (fracs[start:stop] * t_end) + c * (fracs[start + 1:stop + 1] * t_end)
+        coeffs = np.stack([np.broadcast_to(x, times.shape) for x in drive_fn(times)], axis=-1)
         coeffs *= dt[:, None]
         for first in range(0, len(coeffs), block):
-            block_coeffs = coeffs[first:first + block]
-            out = gen[:len(block_coeffs)]
-            out[..., rows, cols] = static_entries + block_coeffs @ op_entries
-            yield out
+            yield gen, index, static_entries + coeffs[first:first + block] @ op_entries
 
 
-def _stage_generators(static, drive_ops, drive_fn, t_end, steps):
-    """Yield, step by step, the (3, cells, d, d) generators of _stage_blocks."""
-    for gen in _stage_blocks(static, drive_ops, drive_fn, t_end, steps):
-        yield gen[0]
+def _combine(base, k, terms):
+    """base + sum(a * k[j] for (j, a) in terms), increments summed first."""
+    total = 0
+    for j, a in terms:
+        total += a * k[j]
+    return base + total
 
 
 # The propagator order of _propagator_states serves batches of one cell of
 # dimension up to PROPAGATOR_MAX_DIM: its products grow as d^3 per step, the
-# lockstep stages as d^2.  Measured at 2500 steps on one cell, it takes
-# 0.03 s against 0.10 s in lockstep at d = 11, ties at d = 27 (the N = 7
-# chain) and takes 0.18 s against 0.13 s at d = 35.
+# lockstep stages as d^2.  Measured under RK4 at 2500 steps on one cell, it
+# takes 0.03 s against 0.10 s in lockstep at d = 11, ties at d = 27 (the
+# N = 7 chain) and takes 0.18 s against 0.13 s at d = 35.
 PROPAGATOR_MAX_DIM = 27
 # Bytes of stage generators per block of steps in the propagator order: a
-# block holds as many steps as keep its (steps, 3, d, d) generators within
-# this budget (at least one step).  At d = 11 that is 32 steps; a block four
-# times larger is no faster and costs 1.4 MB more peak memory.
+# block holds as many steps as keep its (steps, nodes, d, d) generators
+# within this budget (at least one step).  At d = 11 that is 32 RK4 steps; a
+# block four times larger is no faster and costs 1.4 MB more peak memory.
 PROPAGATOR_BLOCK_BYTES = 3 * 32 * 11 * 11 * 16
 
 
-def _lockstep_states(stages, psi):
-    """Advance a (cells, d) batch one RK4 step per (3, cells, d, d) triple of
-    step-scaled stage generators, yielding the state after each step."""
-
-    def apply(gen, y):
-        return np.matmul(gen, y[..., None])[..., 0]
-
-    for gen in stages:
-        k1 = apply(gen[0], psi)
-        k2 = apply(gen[1], psi + 0.5 * k1)
-        k3 = apply(gen[1], psi + 0.5 * k2)
-        k4 = apply(gen[2], psi + k3)
-        psi = psi + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+def _lockstep_states(stages, psi, tableau):
+    """Advance a (cells, d) batch tile by tile one step of ``tableau`` per
+    step of ``stages`` (from _stage_entries), yielding the state after each."""
+    nodes = tableau.stage_nodes
+    tiles = _cell_tiles(len(psi), 16 * (len(nodes) + 2) * psi.shape[-1])
+    k = np.empty((len(nodes), max(t.stop - t.start for t in tiles), psi.shape[1], 1), complex)
+    for gen, index, (entries,) in stages:
+        new = np.empty_like(psi)
+        for tile in tiles:
+            y, kt = psi[tile], k[:, :tile.stop - tile.start]
+            for i, terms in enumerate(tableau.a):
+                gen[tile][index] = entries[nodes[i], tile]
+                y_i = _combine(y, kt[..., 0], terms)
+                np.matmul(gen[tile], y_i[..., None], out=kt[i])
+            new[tile] = _combine(y, kt[..., 0], tableau.b)
+        psi = new
         yield psi
 
 
-def _propagator_states(blocks, psi):
-    """Advance a (1, d) batch of one cell by each step's exact RK4 map,
-    yielding the state after each step.
+def _propagator_states(blocks, psi, tableau):
+    """Advance a (1, d) batch of one cell by each step's exact map under
+    ``tableau`` (blocks of steps from _stage_entries), yielding each state.
 
-    For the step-scaled stage generators A1, A2, A3 of a step (A = -i dt H,
-    A2 at the midpoint), the RK4 increments are k_i = K_i psi with K1 = A1,
-    K2 = A2 + 1/2 A2 K1, K3 = A2 + 1/2 A2 K2 and K4 = A3 + A3 K3, so the
-    step is the matrix P = I + (K1 + 2 K2 + 2 K3 + K4) / 6.  The P of a
-    whole block of steps are formed by three stacked matrix products, and
-    the state then takes one product per step.
-    """
+    For the step-scaled generators A_i of a step's stages, the increments
+    are k_i = K_i psi with K_i = A_i (I + sum_j a_ij K_j), so the step is the
+    matrix P = I + sum_i b_i K_i: one stacked product per stage for the P of
+    a block of steps, then one product per step for the state."""
     eye = np.eye(psi.shape[-1])
-    for gen in blocks:                                             # (n, 3, 1, d, d)
-        a1, a2, a3 = gen[:, 0, 0], gen[:, 1, 0], gen[:, 2, 0]
-        k2 = a2 + 0.5 * (a2 @ a1)
-        k3 = a2 + 0.5 * (a2 @ k2)
-        k4 = a3 + a3 @ k3
-        prop = (a1 + 2.0 * (k2 + k3) + k4) / 6.0 + eye
+    nodes = tableau.stage_nodes
+    for gen, index, entries in blocks:
+        gen = gen[:len(entries)]                                   # (n, nodes, 1, d, d)
+        gen[index] = entries
+        k = []
+        for i, terms in enumerate(tableau.a):
+            a = gen[:, nodes[i], 0]
+            k.append(a @ _combine(eye, k, terms) if terms else a)
+        prop = _combine(eye, k, tableau.b)
         # psi is a row: psi P^T = (P psi^T)^T
         for prop_t in np.swapaxes(prop, 1, 2):
             psi = psi @ prop_t
@@ -408,32 +487,31 @@ def _propagator_states(blocks, psi):
 
 
 def evolve_schrodinger_batch(
-    static, drive_ops, drive_fn, psi0, t_end, steps=DEFAULT_STEPS, record_every=None
+    static, drive_ops, drive_fn, psi0, t_end, steps=DEFAULT_STEPS, record_every=None,
+    tableau=RK4,
 ) -> BatchResult:
-    """Fixed-step RK4 for a batch of independent state-vector evolutions.
+    """Fixed-step ``tableau`` steps for a batch of state-vector evolutions.
 
     static: (d, d) shared or (C, d, d) per cell; drive_fn maps a broadcastable
     time array (..., C) to a tuple of same-shaped coefficient arrays, one per
     drive op.
 
     A batch of one cell of dimension up to PROPAGATOR_MAX_DIM takes the same
-    RK4 steps in the propagator order of _propagator_states: a few stacked
+    steps in the propagator order of _propagator_states: a few stacked
     products per block of steps, then one product per step, instead of
-    about thirty small array operations per step.
+    dozens of small array operations per step.  Larger batches run in lockstep.
     """
     t_end = np.atleast_1d(np.asarray(t_end, dtype=float))
     cells = t_end.shape[0]
     dim = np.shape(psi0)[-1]
     psi = np.array(np.broadcast_to(np.asarray(psi0, dtype=complex), (cells, dim)))
     static = np.asarray(static, dtype=complex)
+    nodes, lead, block, advance = tableau.nodes, (), 1, _lockstep_states
     if cells == 1 and dim <= PROPAGATOR_MAX_DIM:
-        block = max(1, PROPAGATOR_BLOCK_BYTES // (3 * dim * dim * 16))
-        blocks = _stage_blocks(static, drive_ops, drive_fn, t_end, steps, block)
-        states = _propagator_states(blocks, psi)
-    else:
-        states = _lockstep_states(
-            _stage_generators(static, drive_ops, drive_fn, t_end, steps), psi
-        )
+        block = max(1, PROPAGATOR_BLOCK_BYTES // (len(nodes) * dim * dim * 16))
+        lead, advance = (block, len(nodes)), _propagator_states
+    stages = _stage_entries(static, drive_ops, drive_fn, t_end, steps, nodes, lead, block)
+    states = advance(stages, psi, tableau)
 
     rec_marks = _record_marks(steps, record_every)
     records = [psi.copy()] if rec_marks is not None else None
@@ -472,41 +550,48 @@ def _chain_states(static, ops, sources, rho0):
     return mask
 
 
-def _lindblad_states(stages, rho, pops, src, w, route):
+def _lindblad_states(stages, rho, pops, src, w, route, tableau):
     """Advance a (cells, n, n) chain block and its (cells, p) product
-    populations one RK4 step per stage triple, yielding both after each step.
+    populations as _lockstep_states advances a batch, yielding both.
 
     A stage generator is the step-scaled A = -i dt (H - (i/2) diag(G)) on
-    the chain block, and the increment of rho over a step is
+    the chain block, and the increment of rho at a stage is
     A rho + (A rho)^+ plus the jumps.  The (cells, k) weights w include the
     step too: channel k moves w[:, k] * rho[src_k, src_k] (its rate times
     |amp|^2 times dt) along the row route[k], whose first n entries are the
-    chain diagonal and the rest the product populations.
+    chain diagonal and the rest the product populations, which take no
+    stage sums, since no increment depends on them.
     """
     n = rho.shape[-1]
-
-    def rhs(gen, y):
-        a = np.matmul(gen, y)
-        out = a + np.swapaxes(a, -1, -2).conj()
-        flow = (y[:, src, src].real * w) @ route
-        diagonal = np.einsum("cii->ci", out)  # a writeable view
-        diagonal += flow[:, :n]
-        return out, flow[:, n:]
-
-    for gen in stages:
-        k1, q1 = rhs(gen[0], rho)
-        k2, q2 = rhs(gen[1], rho + 0.5 * k1)
-        k3, q3 = rhs(gen[1], rho + 0.5 * k2)
-        k4, q4 = rhs(gen[2], rho + k3)
-        rho = rho + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        pops = pops + (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
+    nodes = tableau.stage_nodes
+    tiles = _cell_tiles(len(rho), 16 * (len(nodes) + 3) * n * n)
+    size = max(tile.stop - tile.start for tile in tiles)
+    k = np.empty((len(nodes), size, n, n), dtype=complex)
+    q = np.empty((len(nodes), size, pops.shape[1]))
+    for gen, index, (entries,) in stages:
+        new_rho, new_pops = np.empty_like(rho), np.empty_like(pops)
+        for tile in tiles:
+            kt, qt = k[:, :tile.stop - tile.start], q[:, :tile.stop - tile.start]
+            for i, terms in enumerate(tableau.a):
+                gen[tile][index] = entries[nodes[i], tile]
+                y = _combine(rho[tile], kt, terms)
+                a = np.matmul(gen[tile], y)
+                np.add(a, np.swapaxes(a, -1, -2).conj(), out=kt[i])
+                flow = (y[:, src, src].real * w[tile]) @ route
+                diagonal = np.einsum("cii->ci", kt[i])  # a writeable view
+                diagonal += flow[:, :n]
+                qt[i] = flow[:, n:]
+            new_rho[tile] = _combine(rho[tile], kt, tableau.b)
+            new_pops[tile] = _combine(pops[tile], qt, tableau.b)
+        rho, pops = new_rho, new_pops
         yield rho, pops
 
 
 def evolve_lindblad_batch(
-    static, drive_ops, drive_fn, rho0, t_end, channels, steps=DEFAULT_STEPS, record_every=None
+    static, drive_ops, drive_fn, rho0, t_end, channels, steps=DEFAULT_STEPS, record_every=None,
+    tableau=RK4,
 ) -> BatchResult:
-    """Lockstep RK4 for a batch of master-equation evolutions.
+    """Lockstep ``tableau`` steps for a batch of master-equation evolutions.
 
     ``channels`` is (sources, targets, weights) describing single-entry
     collapse operators amp |target><source| (model.channel_structure),
@@ -519,7 +604,7 @@ def evolve_lindblad_batch(
     drho/dt = -i (M - M^+) with M = (H - (i/2) G) rho, plus the jumps that
     land back in the chain on its diagonal.  Jumps into the other states
     (decay products) feed a vector of product populations through the same
-    RK4 stages.  Nothing couples a product coherently and no channel leaves
+    stages.  Nothing couples a product coherently and no channel leaves
     one, so the master equation never creates coherences with the products:
     finals and records, rebuilt as full (cells, d, d) matrices, equal the
     full integration.
@@ -548,11 +633,12 @@ def evolve_lindblad_batch(
 
     block = (..., chain[:, None], chain)
     static_eff = static[block] - 0.5j * g_diag[:, :, None] * np.eye(n_chain)
-    stages = _stage_generators(static_eff, [op[block] for op in ops], drive_fn, t_end, steps)
+    ops = [op[block] for op in ops]
+    stages = _stage_entries(static_eff, ops, drive_fn, t_end, steps, tableau.nodes)
     rho = np.array(np.broadcast_to(rho0[block], (cells, n_chain, n_chain)))
     pops = np.zeros((cells, len(products)))  # rho0 lies in the chain block
     w_step = w * (t_end / steps)[:, None]  # each cell's weights times its step
-    states = _lindblad_states(stages, rho, pops, src_c, w_step, route)
+    states = _lindblad_states(stages, rho, pops, src_c, w_step, route, tableau)
 
     def to_full(y, p):
         out = np.zeros((cells, dim, dim), dtype=complex)

@@ -7,21 +7,22 @@ evolve in lockstep through the batched integrators, and reruns produce
 byte-identical results.
 
 Step count.  A scenario that names no ``steps`` picks the step count of
-each atom-count group by step doubling.  With R record intervals (1 for a
-final-value run, DEFAULT_STEPS / record_every for a series) the passes run
-at R * ceil(FIRST_PASS_STEPS / R) steps, twice that, and so on up to the
-first pass at or above dynamics.DEFAULT_STEPS; a series records every
-steps / R steps, so its sample times are those of the fixed grid on every
-pass.  After each pass every cell gets the Richardson estimate
-max |O_2n - O_n| / 15 of the error of its finer values, over every recorded
-sample of every observable (RK4 is fourth order; Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.4), and the group stops at the first pass where
-every cell is within dynamics.STEP_TOL.  Only that pass supplies values,
-series and solver diagnostics.  A cell still over tolerance at the cap is
-listed in ``cell_errors`` with its cap values, and its values in the result
-are NaN, like those of every flagged cell.  A series whose record_every does
-not divide DEFAULT_STEPS has no such ladder and keeps the fixed
-DEFAULT_STEPS grid (default_steps).
+each atom-count group by step doubling with the eighth-order DOP853 tableau
+(dynamics.DOP853); an explicit step count runs RK4.  With R record intervals
+(1 for a final-value run, DEFAULT_STEPS / record_every for a series) the
+passes run at R * ceil(FIRST_PASS_STEPS / R) steps, twice that, and so on
+up to the first pass at or above dynamics.DEFAULT_STEPS; a series records
+every steps / R steps, so its sample times are those of the fixed grid on
+every pass.  After each pass every cell gets the Richardson estimate
+max |O_2n - O_n| / (2^8 - 1) of the error of its finer values, over every
+recorded sample of every observable (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4), and the group stops at the first pass where every cell
+is within dynamics.STEP_TOL.  Only that pass supplies values, series and
+solver diagnostics.  A cell still over tolerance at the cap is listed in
+``cell_errors`` with its cap values, and its values in the result are NaN,
+like those of every flagged cell.  A series whose record_every does not
+divide DEFAULT_STEPS has no such ladder and keeps the fixed DEFAULT_STEPS
+RK4 grid (default_steps).
 
 Deviation axes (dg, dv, domega0, dT) are relative: the executed value is
 x * (1 + delta).  A timing deviation stretches the whole designed schedule
@@ -132,6 +133,8 @@ def _apply_axis(params: SystemParams, scale: float, name: str, value: float):
     if name == "kappa_f":
         return params.replace(kappa_f=value), scale
     if name == "n":
+        if not float(value).is_integer():
+            raise ValidationError(f"axis n takes whole atom counts, got {value}")
         # the operating point owns chain length, detuning and pulse timing;
         # every other setting (rates, couplings, amplitude) carries through
         point = natom_params(int(value), t_f=params.t_f)
@@ -214,8 +217,9 @@ def _cell_statics(space, cells, detuned: bool):
 def _group_integrator(kind, open_system, cells):
     """Space of cells sharing one atom count, and their batched integrator.
 
-    The integrator maps (steps, record_every) to a dynamics.BatchResult; the
-    space, structure matrices and drive are built once for all its passes.
+    The integrator maps (steps, record_every, tableau) to a
+    dynamics.BatchResult; the space, structure matrices and drive are built
+    once for all its passes.
     """
     params0 = cells[0][0]
     space = model.build_space(params0, open_system=open_system)
@@ -226,10 +230,10 @@ def _group_integrator(kind, open_system, cells):
     t_end = np.array([p.t_f for p, _ in cells])
     psi0 = space.basis_vector(0)
     if not open_system:
-        def integrate(steps, record_every=None):
+        def integrate(steps, record_every=None, tableau=dynamics.RK4):
             return dynamics.evolve_schrodinger_batch(
                 static, [x1.mat, xn.mat], drive, psi0, t_end, steps=steps,
-                record_every=record_every,
+                record_every=record_every, tableau=tableau,
             )
     else:
         structure = model.channel_structure(space)
@@ -238,11 +242,11 @@ def _group_integrator(kind, open_system, cells):
         )
         rho0 = np.outer(psi0, psi0.conj())
 
-        def integrate(steps, record_every=None):
+        def integrate(steps, record_every=None, tableau=dynamics.RK4):
             return dynamics.evolve_lindblad_batch(
                 static, [x1.mat, xn.mat], drive, rho0, t_end,
                 (structure.sources, structure.targets, weights),
-                steps=steps, record_every=record_every,
+                steps=steps, record_every=record_every, tableau=tableau,
             )
     return space, integrate
 
@@ -297,8 +301,17 @@ def _cell_errors(diagnostics, n_cells):
     return errors
 
 
-# First pass of the step-doubling control: four doublings reach the cap.
-FIRST_PASS_STEPS = dynamics.DEFAULT_STEPS // 16
+# The method and first pass of the step-doubling control: every registered
+# final-value scenario but fig6 (100 to 800) accepts at 200 steps, and eight
+# doublings reach the cap.
+STEP_CONTROL_TABLEAU = dynamics.DOP853
+FIRST_PASS_STEPS = 100
+
+
+def step_method(steps) -> dynamics.Tableau:
+    """The tableau of a run: STEP_CONTROL_TABLEAU under step doubling
+    (``steps`` None), RK4 for an explicit step count."""
+    return STEP_CONTROL_TABLEAU if steps is None else dynamics.RK4
 
 
 def default_steps(record_every=None):
@@ -334,24 +347,27 @@ def _samples(obs_fns, obs_names, batch):
 
 
 def _step_doubling(integrate, obs_fns, obs_names, intervals=None):
-    """Double the step count until every cell's samples are within STEP_TOL.
+    """Double the step count of STEP_CONTROL_TABLEAU until every cell's
+    samples are within STEP_TOL.
 
     With ``intervals`` record intervals the passes are _pass_ladder(intervals)
     and each records every steps / intervals steps; without, they are
-    _pass_ladder(1) and only final values are compared.  Returns (batch, samples, error, passes) of the accepted
-    (finer) pass: error is the per-cell Richardson estimate over every
-    sample of every observable, passes the step counts run.
+    _pass_ladder(1) and only final values are compared.  Returns (batch,
+    samples, error, passes) of the accepted (finer) pass: error is the
+    per-cell Richardson estimate over every sample of every observable,
+    passes the step counts run.
     """
     ladder = _pass_ladder(intervals or 1)
+    tableau = STEP_CONTROL_TABLEAU
     coarse = None
     for k, steps in enumerate(ladder):
-        batch = integrate(steps, steps // intervals if intervals else None)
+        batch = integrate(steps, steps // intervals if intervals else None, tableau)
         fine = _samples(obs_fns, obs_names, batch)
         if coarse is not None:
             with np.errstate(invalid="ignore"):
                 error = np.max(
                     [np.max(np.abs(fine[n] - coarse[n]), axis=1) for n in obs_names], axis=0
-                ) / 15.0
+                ) / (2**tableau.order - 1)
             # NaN-safe: a diverged cell never passes
             if np.all(error <= dynamics.STEP_TOL) or k == len(ladder) - 1:
                 return batch, fine, error, ladder[:k + 1]
@@ -537,6 +553,7 @@ def run_scenario(name_or_scenario, overrides=None) -> SweepResult:
         "open_system": scenario.open_system,
         "steps": scenario.steps,
         "step_tol": dynamics.STEP_TOL if scenario.steps is None else None,
+        "method": step_method(scenario.steps).name,
         "record_every": scenario.record_every,
         "record_series": scenario.record_series,
         "axes": [

@@ -257,6 +257,56 @@ def test_sweep_bad_axis_spec(capsys):
     assert "name:start:stop:num" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("content, detail", [
+    ('{"tf": 40', "is not valid JSON"),
+    (None, "cannot read config file"),
+    ("[1, 2]", "must hold a JSON object, got [1, 2]"),
+], ids=["malformed", "missing", "list"])
+def test_config_file_errors_give_json_error(tmp_path, capsys, content, detail):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out")
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert detail in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, keys", [
+    (("--grid", "7", "--record-every", "50"), None, "grid, record_every"),
+    ((), {"grid": 7}, "grid"),
+    (("--record-every", "50"), {"tf": 40}, "record_every"),
+], ids=["flags", "config-grid", "flag-record-every"])
+def test_sweep_rejects_settings_it_ignores(tmp_path, capsys, argv, config, keys):
+    extra = ()
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        extra = ("--config", str(tmp_path / "c.json"))
+    code, _, err = run_cli(
+        capsys, "sweep", "--axis", "dg:-0.1:0.1:3", *argv, *extra, "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert f"sweep does not take {keys}" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, value", [("n:3:3.5:2", "3.5"), ("n:nan:nan:1", "nan")])
+def test_sweep_rejects_fractional_atom_counts(tmp_path, capsys, spec, value):
+    # linspace(3, 3.5, 2) holds 3.5, which must not run as N = 3
+    code, _, err = run_cli(capsys, "sweep", "--axis", spec, "--out", str(tmp_path))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert f"axis n takes whole atom counts, got {value}" in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_outdir_environment_default(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     config = cli.parse_config()
@@ -447,10 +497,10 @@ def test_simulate_step_control_matches_fine_fixed_grid(tmp_path, capsys):
     code, summary, rows = _trajectory(capsys, tmp_path / "a", "--tf", "72")
     assert code == 0
     diag = summary["diagnostics"]
-    assert diag["step_passes"] == [{"n_atoms": 3, "steps": [1400, 2800, 5600]}]
-    assert diag["steps_used"] == 5600
+    assert diag["step_passes"] == [{"n_atoms": 3, "steps": [200, 400]}]
+    assert diag["steps_used"] == 400
     assert 0.0 < diag["max_step_error"] <= dynamics.STEP_TOL
-    assert summary["config"]["steps"] is None
+    assert summary["config"]["steps"] is None and summary["method"] == "dop853"
     # twice the steps, and twice the stride, of the fixed grid: same samples
     _, _, fine = _trajectory(
         capsys, tmp_path / "b", "--tf", "72", "--steps", "40000", "--record-every", "200"
@@ -469,7 +519,7 @@ def test_simulate_step_control_matches_fine_fixed_grid(tmp_path, capsys):
 def test_simulate_fixed_grid_fallbacks(tmp_path, capsys, argv, steps):
     code, summary, rows = _trajectory(capsys, tmp_path, "--tf", "72", *argv)
     assert code == 0
-    assert summary["config"]["steps"] == steps
+    assert summary["config"]["steps"] == steps and summary["method"] == "rk4"
     diag = summary["diagnostics"]
     assert diag["steps_used"] == steps
     assert "step_passes" not in diag and "max_step_error" not in diag
@@ -477,14 +527,14 @@ def test_simulate_fixed_grid_fallbacks(tmp_path, capsys, argv, steps):
 
 
 def test_simulate_flags_unresolved_series_at_cap(tmp_path, capsys):
-    # steps of about 2/g even at the cap: every pass runs and the run diverges
+    # steps of about 3.9/g even at the cap: every pass runs and the run diverges
     code, summary, rows = _trajectory(
-        capsys, tmp_path, "--schedule", "adiabatic", "--tf", "40000"
+        capsys, tmp_path, "--schedule", "adiabatic", "--tf", "100000"
     )
     assert code == cli.EXIT_FLAGGED_CELLS
     diag = summary["diagnostics"]
-    assert diag["step_passes"][0]["steps"] == [1400, 2800, 5600, 11200, 22400]
-    assert diag["steps_used"] == 22400
+    assert diag["step_passes"][0]["steps"] == [200 * 2**k for k in range(8)]
+    assert diag["steps_used"] == 25600
     assert all(row[1] == "nan" for row in rows[1:])
     assert summary["final"]["fidelity"] is None
     (entry,) = diag["cell_errors"]

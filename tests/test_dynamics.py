@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,21 +320,56 @@ def test_stage_blocks_are_contiguous_step_scaled_generators(
         return np.sin(0.3 * t), np.exp(-0.01 * t) * np.cos(t)
 
     dt = t_end / steps
-    # the stage times of the shared fractional grid: start, midpoint, end
     marks = np.linspace(0.0, 1.0, steps + 1)[:, None] * t_end
-    done = 0
-    for gen in dynamics._stage_blocks(static, ops, coefficients, t_end, steps, block):
-        n = gen.shape[0]
-        assert gen.flags["C_CONTIGUOUS"] and gen.shape == (n, 3, cells, dim, dim)
-        assert n <= block
-        t0, t1 = marks[done:done + n], marks[done + 1:done + n + 1]
-        times = np.stack([t0, 0.5 * (t0 + t1), t1], axis=1)              # (n, 3, cells)
-        c1, c2 = coefficients(times)
-        h = static + c1[..., None, None] * ops[0] + c2[..., None, None] * ops[1]
-        expected = dt[:, None, None] * (-1j * h)
-        assert np.max(np.abs(gen - expected)) <= 1e-15 * np.max(np.abs(expected))
-        done += n
-    assert done == steps
+    for tableau in (dynamics.RK4, dynamics.DOP853):
+        nodes = np.array(tableau.nodes)
+        done = 0
+        lead = (block, len(nodes))
+        blocks = dynamics._stage_entries(
+            static, ops, coefficients, t_end, steps, nodes, lead, block
+        )
+        for gen, index, entries in blocks:
+            n = len(entries)
+            gen = gen[:n]
+            gen[index] = entries
+            assert gen.flags["C_CONTIGUOUS"] and gen.shape == (n, len(nodes), cells, dim, dim)
+            assert n <= block
+            # the stage times t + c dt of the shared fractional grid
+            t0, t1 = marks[done:done + n, None], marks[done + 1:done + n + 1, None]
+            c = nodes[:, None]
+            times = (1.0 - c) * t0 + c * t1                                 # (n, nodes, cells)
+            c1, c2 = coefficients(times)
+            h = static + c1[..., None, None] * ops[0] + c2[..., None, None] * ops[1]
+            expected = dt[:, None, None] * (-1j * h)
+            assert np.max(np.abs(gen - expected)) <= 1e-15 * np.max(np.abs(expected))
+            done += n
+        assert done == steps
+
+
+@pytest.mark.parametrize("open_system", [False, True], ids=["closed", "open"])
+def test_lockstep_stage_entries_equal_stacked_blocks(open_space3, space3, open_system):
+    # the lockstep loops write each node's entries into one buffer, which
+    # then holds the generators that the propagator order stacks
+    space = open_space3 if open_system else space3
+    static = model.hamiltonian_terms(space, model.SystemParams(), detuned=True).static
+    statics = static * np.linspace(0.9, 1.1, 5)[:, None, None]
+    ops = [op.mat for op in model.laser_couplings(space)]
+    t_end = np.linspace(60.0, 80.0, 5)
+    params = model.SystemParams().with_t_f(72.0)
+
+    def drive(t):
+        bar = pulses.tqd_pulse(t, params)
+        return bar, 0.5 * bar
+
+    nodes = dynamics.DOP853.nodes
+    blocks = dynamics._stage_entries(statics, ops, drive, t_end, 40, nodes, (1, len(nodes)))
+    stages = dynamics._stage_entries(statics, ops, drive, t_end, 40, nodes)
+    for (block, index, entries), (gen, _, (step,)) in zip(blocks, stages, strict=True):
+        block[index] = entries
+        assert gen.flags["C_CONTIGUOUS"] and gen.shape == block.shape[2:]
+        for node in reversed(range(len(nodes))):
+            gen[index] = step[node]
+            assert np.array_equal(gen, block[0, node])
 
 
 # --- one-cell propagator order ----------------------------------------------
@@ -512,3 +551,95 @@ def test_drive_is_evaluated_per_chunk(open_space3, space3, cells, open_system):
     chunk = max(1, dynamics.DRIVE_CHUNK_SAMPLES // (3 * cells))
     assert len(sizes) == -(-steps // chunk)
     assert max(sizes) <= dynamics.DRIVE_CHUNK_SAMPLES
+
+
+# --- Butcher tableaus and cell tiles ------------------------------------------
+
+def test_dop853_coefficients_equal_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as reference
+
+    tableau = dynamics.DOP853
+    a = np.zeros((12, 12))
+    for i, row in enumerate(tableau.a):
+        for j, value in row:
+            assert j < i
+            a[i, j] = value
+    b = np.zeros(12)
+    for i, value in tableau.b:
+        b[i] = value
+    assert np.array_equal(a, reference.A[:12, :12])
+    assert np.array_equal(b, reference.B)
+    assert np.array_equal(tableau.c, reference.C[:12])
+    assert sum(len(row) for row in tableau.a) == np.count_nonzero(reference.A[:12, :12]) == 50
+    assert tableau.nodes == tableau.c and len(dynamics.RK4.nodes) == 3
+
+
+@pytest.mark.parametrize("cells", [1, 2], ids=["propagators", "lockstep"])
+def test_dop853_is_eighth_order(cells):
+    # constant two-level H: the error falls 2^8 = 256 times per step doubling
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    exact = np.array([np.cos(10.0), -1j * np.sin(10.0)])
+
+    def final_error(steps):
+        batch = dynamics.evolve_schrodinger_batch(
+            np.zeros((2, 2)), [two_level(1.0)], lambda t: (np.ones_like(t),), psi0,
+            np.full(cells, 10.0), steps=steps, tableau=dynamics.DOP853,
+        )
+        return np.max(np.linalg.norm(batch.finals - exact, axis=1))
+
+    assert final_error(20) > 1e-9
+    ratio = final_error(20) / final_error(40)
+    assert 128.0 <= ratio <= 512.0
+
+
+def test_cell_tiles_never_leave_a_lone_cell(monkeypatch):
+    # a tile of one cell would take the one-cell order of operations
+    monkeypatch.setattr(dynamics, "CELL_TILE_BYTES", 300)
+    sizes = [[s.stop - s.start for s in dynamics._cell_tiles(cells, 100)] for cells in range(1, 8)]
+    assert sizes == [[1], [2], [3], [4], [3, 2], [3, 3], [3, 4]]
+    monkeypatch.setattr(dynamics, "CELL_TILE_BYTES", 1)
+    assert [s.stop - s.start for s in dynamics._cell_tiles(5, 100)] == [2, 3]
+
+
+@pytest.mark.parametrize("record_every", [50, None], ids=["every-50", "final-only"])
+@pytest.mark.parametrize("open_system", [False, True], ids=["closed", "open"])
+def test_tiled_batch_equals_untiled_batch(monkeypatch, open_system, record_every):
+    # cells with their own couplings, rates and pulses, in one tile and in
+    # tiles of two or three cells: finals, records and diagnostics agree bit
+    # for bit
+    base = model.SystemParams(gamma=0.004, kappa_c=0.005, kappa_f=0.001)
+    cells = [
+        (base.replace(g=1.0 + 0.02 * i, gamma=0.002 * i).with_t_f(60.0 + 3 * i), 1.0 + 0.01 * i)
+        for i in range(7)
+    ]
+    _, integrate = experiments._group_integrator(pulses.TQD, open_system, cells)
+    whole = integrate(200, record_every, dynamics.DOP853)
+    tiles = []
+    original = dynamics._cell_tiles
+
+    def spy(*args):
+        tiles.append(original(*args))
+        return tiles[-1]
+
+    monkeypatch.setattr(dynamics, "_cell_tiles", spy)
+    monkeypatch.setattr(dynamics, "CELL_TILE_BYTES", 1)
+    tiled = integrate(200, record_every, dynamics.DOP853)
+    assert [s.stop - s.start for s in tiles[0]] == [2, 2, 3]
+    assert np.array_equal(tiled.finals, whole.finals)
+    if record_every is None:
+        assert tiled.records is None and whole.records is None
+    else:
+        assert np.array_equal(tiled.records, whole.records)
+        assert np.array_equal(tiled.record_fractions, whole.record_fractions)
+    assert tiled.diagnostics.keys() == whole.diagnostics.keys()
+    for name, value in whole.diagnostics.items():
+        assert np.array_equal(tiled.diagnostics[name], value), name
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    # the coefficients are literals: numpy stays the only runtime dependency
+    code = "import sys, cavityghz.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

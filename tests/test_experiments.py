@@ -43,6 +43,9 @@ def test_axis_semantics():
     assert q.kappa_f == 0.004
     with pytest.raises(ConfigurationError):
         experiments._apply_axis(p, 1.0, "bogus", 1.0)
+    for value in (3.5, 4.999, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="whole atom counts"):
+            experiments._apply_axis(p, 1.0, "n", value)
 
 
 def test_natom_operating_points_are_valid():
@@ -208,6 +211,7 @@ def test_step_control_matches_fine_fixed_grid(name, controlled_fig10a, tmp_path)
     assert np.max(diff) <= 1e-8
     assert res.provenance["steps"] is None
     assert res.provenance["step_tol"] == dynamics.STEP_TOL
+    assert (res.provenance["method"], reference.provenance["method"]) == ("dop853", "rk4")
     _, json_path = experiments.write_result(res, tmp_path)
     diag = json.loads(open(json_path).read())["diagnostics"]
     assert diag["cell_errors"] == []
@@ -228,19 +232,20 @@ def test_step_control_rerun_is_bitwise(controlled_fig10a):
 
 
 def test_step_control_flags_unresolved_cell_at_cap():
-    # at the cap the long cell still takes steps of 2/g and diverges; the
+    # at the cap the long cell still takes steps of 3.9/g and diverges; the
     # group runs every doubling, the sweep finishes and the cell is flagged
     scenario = experiments.Scenario(
         name="cap-check",
         description="cell that no allowed step count resolves",
         params=model.SystemParams().with_t_f(40.0),
         schedule_kind="adiabatic",
-        axes=(SweepAxis("tf", (40.0, 40000.0)),),
+        axes=(SweepAxis("tf", (40.0, 100000.0)),),
     )
     res = experiments.run_scenario(scenario)
     diag = res.diagnostics
-    assert diag["step_passes"][0]["steps"] == [1250, 2500, 5000, 10000, 20000]
-    assert diag["steps_used"] == dynamics.DEFAULT_STEPS
+    ladder = [100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600]
+    assert diag["step_passes"][0]["steps"] == ladder
+    assert diag["steps_used"] == 25600 >= dynamics.DEFAULT_STEPS
     errors = diag["cell_errors"]
     assert [e["cell"] for e in errors] == [1]
     assert any(p.startswith("max_step_error") for p in errors[0]["problems"])
@@ -249,9 +254,12 @@ def test_step_control_flags_unresolved_cell_at_cap():
 
 
 def test_pass_ladder_keeps_record_intervals_whole():
-    assert experiments._pass_ladder(1) == [1250, 2500, 5000, 10000, 20000]
-    assert experiments._pass_ladder(200) == [1400, 2800, 5600, 11200, 22400]
-    assert experiments._pass_ladder(100) == [1300, 2600, 5200, 10400, 20800]
+    ladder = [100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600]
+    assert experiments._pass_ladder(1) == ladder
+    assert experiments._pass_ladder(100) == ladder
+    assert experiments._pass_ladder(200) == ladder[1:]
+    assert experiments._pass_ladder(40) == [120 * 2**k for k in range(9)]
+    assert experiments._pass_ladder(16) == [112 * 2**k for k in range(9)]
     # a first pass already at the cap still gets a finer pass to compare with
     assert experiments._pass_ladder(20000) == [20000, 40000]
 
@@ -263,8 +271,8 @@ def test_series_scenario_doubles_steps_at_fixed_sample_times():
     )
     diag = res.diagnostics
     # 20 record intervals: passes are multiples of 20, recording every steps/20
-    assert diag["step_passes"] == [{"n_atoms": 3, "steps": [1260, 2520]}]
-    assert diag["steps_used"] == 2520
+    assert diag["step_passes"] == [{"n_atoms": 3, "steps": [100, 200, 400]}]
+    assert diag["steps_used"] == 400
     assert 0.0 < diag["max_step_error"] <= dynamics.STEP_TOL
     assert diag["cell_errors"] == []
     assert res.provenance["steps"] is None
@@ -377,7 +385,8 @@ def test_drive_is_evaluated_once_per_distinct_pulse(monkeypatch, name, rows):
     monkeypatch.setattr(pulses.PulseSchedule, "drive", counting)
     result = experiments.run_scenario(name, {"grid": 3})
     (group,) = result.diagnostics["step_passes"]
-    assert sum(samples) == 3 * sum(group["steps"]) * rows
+    # the step-controlled passes sample DOP853's 12 distinct nodes
+    assert sum(samples) == 12 * sum(group["steps"]) * rows
 
 
 @pytest.mark.parametrize("name", ["fig10a", "fig10b", "fig6", "fig9b"])
