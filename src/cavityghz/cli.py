@@ -73,8 +73,6 @@ def parse_quantity(text) -> tuple[float, bool]:
         value *= 2.0 * math.pi
     unit = m.group("unit")
     if unit is None:
-        if m.group("twopi"):
-            return value, False
         return value, False
     return value * _UNIT_SCALE[unit], True
 
@@ -249,11 +247,11 @@ def _settings_from_args(args) -> tuple[dict | None, dict]:
                 f"config file {args.config!r} must hold a JSON object, "
                 f"got {json.dumps(file_data)[:40]}"
             )
-    flag_keys = (
-        "g", "v", "omega0", "delta", "gamma", "kappa_c", "kappa_f",
-        "tf", "t0", "tc", "alpha", "n", "schedule", "steps",
-        "record_every", "observables", "out_dir", "grid", "preset",
-    )
+    # every key but branching has a flag; --open is a switch, added when set
+    flag_keys = [
+        k for k in FREQUENCY_KEYS + TIME_KEYS + RUN_KEYS
+        if k not in ("branching", "open_system")
+    ]
     flags = {k: getattr(args, k, None) for k in flag_keys}
     if getattr(args, "open_system", None):
         flags["open_system"] = True

@@ -124,24 +124,23 @@ DOP853 = Tableau(
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Integration window [t_start, t_end] with a fixed step count.
+    """Integration window [0, t_end] with a fixed step count.
 
-    Recorded samples always include both endpoints.  The bounds must be
-    finite and ``steps`` and ``record_every`` integers, or ValidationError.
+    Recorded samples always include both endpoints.  The end must be finite
+    and positive and ``steps`` and ``record_every`` integers, or
+    ValidationError.
     """
 
     t_end: float
     steps: int = DEFAULT_STEPS
     record_every: int = 100
-    t_start: float = 0.0
 
     def __post_init__(self):
         problems = []
-        bounds = f"[{self.t_start}, {self.t_end}]"
-        if not np.all(np.isfinite((self.t_start, self.t_end))):
-            problems.append(f"t_start and t_end must be finite, got {bounds}")
-        elif self.t_end <= self.t_start:
-            problems.append(f"t_end must exceed t_start, got {bounds}")
+        if not np.isfinite(self.t_end):
+            problems.append(f"t_end must be finite, got {self.t_end}")
+        elif self.t_end <= 0:
+            problems.append(f"t_end must be positive, got {self.t_end}")
         for name, minimum in (("steps", MIN_STEPS), ("record_every", 1)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
@@ -153,17 +152,15 @@ class TimeGrid:
 
     @property
     def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.steps
+        return self.t_end / self.steps
 
     def record_steps(self) -> list[int]:
         marks = list(range(0, self.steps, self.record_every))
         marks.append(self.steps)
         return marks
 
-    def times(self, indices=None) -> np.ndarray:
-        if indices is None:
-            indices = self.record_steps()
-        return self.t_start + np.asarray(indices) * self.dt
+    def times(self) -> np.ndarray:
+        return np.asarray(self.record_steps()) * self.dt
 
 
 @dataclass
@@ -192,7 +189,7 @@ def _refinement_hint(steps: int, drift: float, tol: float) -> str:
 
 
 def _check_hermitian_at(h_of_t, grid: TimeGrid):
-    for t in (grid.t_start, (grid.t_start + grid.t_end) / 2, grid.t_end):
+    for t in (0.0, grid.t_end / 2, grid.t_end):
         mat = h_of_t(t)
         drift = np.max(np.abs(mat - mat.conj().T))
         if drift > 1e-10:
@@ -207,7 +204,7 @@ def _sampled_stages(h_of_t, grid: TimeGrid, dim, shift=0.0):
     gen = np.empty((1, dim, dim), dtype=complex)
     samples = np.empty((1, len(RK4.nodes), 1, dim, dim), dtype=complex)
     for step in range(grid.steps):
-        t = grid.t_start + step * dt
+        t = step * dt
         for node, c in enumerate(RK4.nodes):
             samples[0, node, 0] = scale * (h_of_t(t + c * dt) + shift)
         yield gen, ..., samples
@@ -218,7 +215,7 @@ def _record_points(states, grid: TimeGrid):
     record = set(grid.record_steps())
     for step, state in enumerate(states, start=1):
         if step in record:
-            yield grid.t_start + step * grid.dt, state
+            yield step * grid.dt, state
 
 
 def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None) -> Trajectory:
@@ -432,10 +429,12 @@ def _combine(base, k, terms):
 
 # The propagator order of _propagator_states serves batches of one cell of
 # dimension up to PROPAGATOR_MAX_DIM: its products grow as d^3 per step, the
-# lockstep stages as d^2.  Measured under RK4 at 2500 steps on one cell, it
-# takes 0.03 s against 0.10 s in lockstep at d = 11, ties at d = 27 (the
-# N = 7 chain) and takes 0.18 s against 0.13 s at d = 35.
-PROPAGATOR_MAX_DIM = 27
+# lockstep stages as d^2.  Measured under DOP853 on one natom_params(n) cell
+# through the step-doubling ladder, medians of 7 runs in two runs, it takes
+# 0.017 s against 0.044-0.057 s in lockstep at d = 11 (N = 3), ties at
+# d = 19 (N = 5: 0.039-0.054 s against 0.042-0.044 s) and takes 0.069 s
+# against 0.044 s at d = 27 (N = 7).
+PROPAGATOR_MAX_DIM = 19
 # Bytes of stage generators per block of steps in the propagator order: a
 # block holds as many steps as keep its (steps, nodes, d, d) generators
 # within this budget (at least one step).  At d = 11 that is 32 RK4 steps; a

@@ -18,7 +18,7 @@ zero-excitation decay products once dissipation channels are included.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +27,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, TruncationError, ValidationError
 
 HERMITIAN_TOL = 1e-12
+# Largest photon number of any mode: the chain carries one excitation.
+PHOTON_CUTOFF = 1
 
 Move = Callable[["BasisState"], "tuple[BasisState, float] | None"]
 
@@ -250,7 +252,6 @@ class HilbertSpace:
     n_atoms: int
     modes: tuple[ModeId, ...]
     basis: tuple[BasisState, ...]
-    cutoff: int = 1
     includes_decay: bool = False
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -280,40 +281,29 @@ class HilbertSpace:
         vec[i] = 1.0
         return vec
 
-    def state_label(self, state: BasisState) -> str:
-        atoms = " ".join(lv.value for lv in state.levels)
-        photons = " ".join(
-            f"{m.label}:{n}" for m, n in zip(self.modes, state.photons) if n > 0
-        )
-        return f"|{atoms}>" + (f" {photons}" if photons else "")
-
 
 def build_reachable_space(
     n_atoms: int,
     initial: BasisState | None = None,
-    generators: Iterable[Stencil] | None = None,
-    cutoff: int = 1,
     include_decay: bool = False,
 ) -> HilbertSpace:
     """Breadth-first closure of the initial state under the generator stencils.
 
-    With the default generators (chain couplings plus the two lasers) the
-    basis is exactly the single-excitation chain of 4N-1 states, in the order
-    the excitation propagates.  With ``include_decay`` the closure is run a
+    The generators (chain couplings plus the two lasers) close the basis on
+    exactly the single-excitation chain of 4N-1 states, in the order the
+    excitation propagates.  With ``include_decay`` the closure is run a
     second time with the decay stencils added, appending the zero-excitation
     decay products after the coherent chain in first-reached order.
 
-    Raises ``TruncationError`` if any generator would push a mode above the
-    photon cutoff.
+    Raises ``TruncationError`` if any generator would push a mode above
+    PHOTON_CUTOFF.
     """
     modes = chain_modes(n_atoms)
     if initial is None:
         initial = initial_chain_state(n_atoms)
     if len(initial.levels) != n_atoms or len(initial.photons) != len(modes):
         raise DimensionError("initial state does not match the chain layout")
-    if generators is None:
-        generators = laser_stencils(n_atoms) + chain_coupling_stencils(n_atoms)
-    generators = tuple(generators)
+    generators = laser_stencils(n_atoms) + chain_coupling_stencils(n_atoms)
     stages: list[tuple[Stencil, ...]] = [generators]
     if include_decay:
         stages.append(generators + decay_stencils(n_atoms))
@@ -331,10 +321,10 @@ def build_reachable_space(
                         if hit is None:
                             continue
                         target, _ = hit
-                        if max(target.photons, default=0) > cutoff:
+                        if max(target.photons, default=0) > PHOTON_CUTOFF:
                             raise TruncationError(
                                 f"generator {stencil.label} would create "
-                                f"{max(target.photons)} photons (cutoff {cutoff})"
+                                f"{max(target.photons)} photons (cutoff {PHOTON_CUTOFF})"
                             )
                         if target not in seen:
                             seen.add(target)
@@ -346,7 +336,6 @@ def build_reachable_space(
         n_atoms=n_atoms,
         modes=modes,
         basis=tuple(order),
-        cutoff=cutoff,
         includes_decay=include_decay,
     )
 
@@ -377,18 +366,6 @@ class Operator:
                 )
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.mat.conj().T, hermitian=self.hermitian)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (self.space.dim,):
-            raise DimensionError("vector length does not match the space")
-        return self.mat @ vec
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 
 
 def transition_operator(space: HilbertSpace, move: Move) -> Operator:
@@ -434,19 +411,6 @@ def atomic_op(space: HilbertSpace, atom: int, bra: AtomLevel, ket: AtomLevel) ->
         return st.with_level(atom, bra), 1.0
 
     return transition_operator(space, move)
-
-
-def number_op(space: HilbertSpace, mode: ModeId) -> Operator:
-    """Diagonal photon-number operator (built directly, not as a dagger product)."""
-    pos = space.mode_position(mode)
-    counts = np.array([st.photons[pos] for st in space.basis], dtype=complex)
-    return Operator(space, np.diag(counts), hermitian=True)
-
-
-def excitation_op(space: HilbertSpace) -> Operator:
-    """Total excitation number: excited atoms plus all photons."""
-    counts = np.array([st.excitations for st in space.basis], dtype=complex)
-    return Operator(space, np.diag(counts), hermitian=True)
 
 
 def basis_json(space: HilbertSpace) -> list[dict]:

@@ -203,19 +203,6 @@ def laser_couplings(space: HilbertSpace, phase_fix: bool = False) -> tuple[Opera
     return Operator(space, x1, hermitian=True), Operator(space, xn, hermitian=True)
 
 
-def laser_hamiltonian(
-    space: HilbertSpace,
-    params: SystemParams,
-    omega_1: float,
-    omega_n: float,
-    phase_fix: bool = False,
-) -> Operator:
-    """Laser drive at one instant: Omega_1 X_1 + Omega_N X_N."""
-    _check_space(space, params)
-    x1, xn = laser_couplings(space, phase_fix=phase_fix)
-    return Operator(space, omega_1 * x1.mat + omega_n * xn.mat, hermitian=True)
-
-
 def detuning_hamiltonian(space: HilbertSpace, params: SystemParams) -> Operator:
     """Common detuning of every excited level: diagonal delta on excited-atom states."""
     _check_space(space, params)

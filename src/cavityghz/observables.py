@@ -94,13 +94,3 @@ def leakage(state_or_rho: np.ndarray, g: float, v: float, n_atoms: int) -> float
     span[chain_dim - 1, 2] = 1.0
     total = sum(population(state, span[:, i]) for i in range(3))
     return float(1.0 - total)
-
-
-def fidelity_series(trajectory, target: TargetState) -> np.ndarray:
-    """Fidelity at every recorded time, enforcing the method match."""
-    kind = trajectory.metadata.get("schedule")
-    if kind is not None and kind != target.method:
-        raise MethodMismatchError(
-            f"trajectory metadata says schedule {kind!r}, target is for {target.method!r}"
-        )
-    return np.array([ghz_fidelity(state, target) for state in trajectory.states])

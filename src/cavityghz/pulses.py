@@ -153,29 +153,14 @@ class PulseSchedule:
         return scaled, scaled
 
 
-def boundary_report(params: SystemParams) -> dict[str, float]:
-    """Start/end pulse ratios against the fractional-STIRAP limits.
-
-    The Gaussians only approximate the asymptotic boundary conditions on a
-    finite window; with the default offsets the start ratio is ~3e-4 and the
-    end ratio matches tan(alpha) to a few percent.
-    """
-    om1_0, om3_0 = stirap_pair(0.0, params)
-    om1_f, om3_f = stirap_pair(params.t_f, params)
-    return {
-        "start_ratio": float(om1_0 / om3_0),
-        "end_ratio_error": float(abs(om1_f / om3_f / np.tan(params.alpha) - 1.0)),
-    }
-
-
-def adiabaticity_report(params: SystemParams, n_grid: int = 10001) -> dict[str, float]:
+def adiabaticity_report(params: SystemParams) -> dict[str, float]:
     """Worst ratio of the dark-bright mixing rate to the effective gap.
 
     The transfer is adiabatic when |<dark | d/dt bright>| = |theta_dot|/sqrt(2)
-    stays far below the gap N1 * Omega; the maximum of their ratio over the
-    window quantifies how well a given t_f satisfies that.
+    stays far below the gap N1 * Omega; the maximum of their ratio over
+    10001 points of the window quantifies how well a given t_f satisfies that.
     """
-    t = np.linspace(0.0, params.t_f, n_grid)
+    t = np.linspace(0.0, params.t_f, 10001)
     om1, om3 = stirap_pair(t, params)
     _, theta_dot = mixing_angle(t, params)
     n1 = bright_normalizer(params.g, params.v, params.n_atoms)

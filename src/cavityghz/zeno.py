@@ -203,19 +203,19 @@ class NumericEigensystem:
     eigenvalues_raw: np.ndarray        # all dim eigenvalues, sorted
 
 
-def numeric_eigensystem(h: Operator | np.ndarray, degeneracy_tol: float | None = None) -> NumericEigensystem:
+def numeric_eigensystem(h: Operator | np.ndarray) -> NumericEigensystem:
     """Eigendecomposition oracle for any Hermitian matrix.
 
-    Eigenvalues closer than ``degeneracy_tol`` (default: 1e-8 times the
-    spectral scale) are grouped into one block, since an eigensolver returns
-    an arbitrary orthonormal basis inside a degenerate subspace.
+    Eigenvalues closer than 1e-8 times the spectral scale are grouped into
+    one block, since an eigensolver returns an arbitrary orthonormal basis
+    inside a degenerate subspace.
     """
     mat = h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise ConfigurationError("numeric eigensystem requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(mat)
     scale = max(np.max(np.abs(vals)), 1.0)
-    tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * scale
+    tol = 1e-8 * scale
     groups: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[groups[-1][-1]] <= tol:
@@ -242,13 +242,6 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(sigma**2 > 0.5, sin_angles, cos_angles)
 
 
-def phase_align(vec: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the vector best matches the reference's sign convention."""
-    overlap = np.vdot(reference, vec)
-    if abs(overlap) == 0:
-        return vec
-    return vec * (np.conj(overlap) / abs(overlap))
-
 def eigensystem_deviation(analytic: ZenoEigensystem, numeric: NumericEigensystem) -> dict[str, float]:
     """Compare the closed forms with the numeric oracle.
 
@@ -273,14 +266,6 @@ def eigensystem_deviation(analytic: ZenoEigensystem, numeric: NumericEigensystem
         angles = principal_angles(block, numeric_block)
         worst_angle = max(worst_angle, float(np.max(angles)))
     return {"max_eigenvalue_dev": dev, "max_principal_angle": worst_angle}
-
-
-def zeno_projector(system: ZenoEigensystem, k: int) -> np.ndarray:
-    """Projector onto Zeno subspace k (1-based, k=1 is the zero subspace)."""
-    if not 1 <= k <= len(system.blocks):
-        raise ConfigurationError(f"Zeno subspace index {k} out of range 1..{len(system.blocks)}")
-    block = system.blocks[k - 1]
-    return block @ block.conj().T
 
 
 @dataclass
@@ -326,11 +311,6 @@ def effective_hamiltonian(
     if variant == DETUNED:
         mat[1, 1] = params.n_atoms * params.delta * n1**2
     return EffectiveModel(mat, variant, n1, params.n_atoms)
-
-
-def dark_state(theta: float) -> np.ndarray:
-    """Instantaneous zero-eigenvalue state of the resonant three-level model."""
-    return np.array([np.cos(theta), 0.0, -np.sin(theta)])
 
 
 def adiabatic_eliminate(model: EffectiveModel) -> EffectiveModel:

@@ -396,11 +396,11 @@ def test_one_cell_batch_matches_lockstep(kind, record_every):
 
 
 @pytest.mark.parametrize("n_atoms, cells, propagators", [
-    (3, 1, True), (7, 1, True), (3, 2, False), (9, 1, False),
+    (3, 1, True), (5, 1, True), (7, 1, False), (3, 2, False), (9, 1, False),
 ])
 def test_propagator_order_takes_one_small_cell(monkeypatch, n_atoms, cells, propagators):
-    # the propagators are d times the stage arithmetic: they pay for one
-    # cell of the registered chains (d <= 27), not for d = 35 or two cells
+    # the propagators are d times the stage arithmetic: under DOP853 they pay
+    # for one cell of up to N = 5 (d <= 19), not for d = 27 or two cells
     calls = []
     original = dynamics._propagator_states
 

@@ -31,23 +31,34 @@ def test_coupling_annihilates_bright_state(space3, params3, space5, params5):
     assert np.linalg.norm(h5 @ zeno.bright_state(1.0, 1.0, 5)) < 1e-10
 
 
-def test_laser_elements(space3, params3):
-    h_l = model.laser_hamiltonian(space3, params3, 0.07, 0.11).mat
+def laser_drive(space, omega_1, omega_n, phase_fix=False):
+    """Omega_1 X_1 + Omega_N X_N from the laser couplings."""
+    x1, xn = model.laser_couplings(space, phase_fix=phase_fix)
+    return omega_1 * x1.mat + omega_n * xn.mat
+
+
+def excitation_number(space):
+    """Diagonal total excitation number: excited atoms plus all photons."""
+    return np.diag([float(st.excitations) for st in space.basis])
+
+
+def test_laser_elements(space3):
+    h_l = laser_drive(space3, 0.07, 0.11)
     assert h_l[1, 0] == pytest.approx(0.07)
     assert h_l[9, 10] == pytest.approx(0.11)
     assert np.count_nonzero(h_l) == 4
     assert np.max(np.abs(h_l - h_l.conj().T)) < 1e-15
 
 
-def test_laser_phase_fix(space3, params3):
-    h_l = model.laser_hamiltonian(space3, params3, 0.07, 0.11, phase_fix=True).mat
+def test_laser_phase_fix(space3):
+    h_l = laser_drive(space3, 0.07, 0.11, phase_fix=True)
     assert h_l[9, 10] == pytest.approx(-0.11j)
     assert h_l[10, 9] == pytest.approx(+0.11j)
     assert np.max(np.abs(h_l - h_l.conj().T)) < 1e-15
 
 
-def test_laser_zero_drive(space3, params3):
-    assert np.allclose(model.laser_hamiltonian(space3, params3, 0.0, 0.0).mat, 0.0)
+def test_laser_zero_drive(space3):
+    assert np.allclose(laser_drive(space3, 0.0, 0.0), 0.0)
 
 
 def test_total_real_symmetric_without_phase_fix(space3, params3):
@@ -70,13 +81,13 @@ def test_excitation_structure_justifies_truncation(space3, open_space3, params3)
     # the static part conserves the excitation number exactly; the lasers
     # only toggle the two pump-ready states (changing it by exactly one), so
     # the closure never leaves the single-excitation sector
-    n_exc = hilbert.excitation_op(space3).mat
+    n_exc = excitation_number(space3)
     static = (
         model.coupling_hamiltonian(space3, params3).mat
         + model.detuning_hamiltonian(space3, params3).mat
     )
     assert np.max(np.abs(static @ n_exc - n_exc @ static)) <= 1e-12
-    h_l = model.laser_hamiltonian(space3, params3, 1.0, 1.0).mat
+    h_l = laser_drive(space3, 1.0, 1.0)
     comm = h_l @ n_exc - n_exc @ h_l
     assert set(zip(*np.nonzero(comm))) == {(0, 1), (1, 0), (9, 10), (10, 9)}
     assert max(st.excitations for st in open_space3.basis) == 1
@@ -97,7 +108,7 @@ def test_jump_operator_census(open_space3):
 
 
 def test_jump_operators_lower_excitation_by_one(open_space3, params3):
-    n_exc = hilbert.excitation_op(open_space3).mat
+    n_exc = excitation_number(open_space3)
     for j in model.jump_operators(open_space3, params3):
         mat = j.operator.mat
         # [N, L] = -L for a process removing exactly one excitation

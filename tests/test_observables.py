@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavityghz import dynamics, observables
+from cavityghz import observables
 from cavityghz.errors import DimensionError, MethodMismatchError, ValidationError
 
 
@@ -94,19 +94,3 @@ def test_leakage_inside_and_outside_useful_subspace():
     photon = np.zeros(11, dtype=complex)
     photon[2] = 1.0  # first cavity-photon state: orthogonal to the kept span
     assert observables.leakage(photon, 1.0, 1.0, 3) == pytest.approx(1.0)
-
-
-def test_fidelity_series_checks_metadata():
-    t = observables.target_state(observables.TQD, 3)
-    grid = dynamics.TimeGrid(1.0, steps=1000, record_every=1000)
-    traj = dynamics.Trajectory(
-        grid=grid,
-        times=np.array([0.0, 1.0]),
-        states=np.stack([t.vector, t.vector]),
-        is_density=False,
-        metadata={"schedule": "adiabatic"},
-    )
-    with pytest.raises(MethodMismatchError):
-        observables.fidelity_series(traj, t)
-    traj.metadata["schedule"] = "tqd"
-    assert observables.fidelity_series(traj, t) == pytest.approx([1.0, 1.0])
