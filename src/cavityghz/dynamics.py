@@ -6,22 +6,23 @@ evolve in lockstep as stacked arrays.  No renormalization is applied during
 integration; norm/trace drift is tracked as a diagnostic and turned into an
 error (with a suggested step count) when it exceeds tolerance.
 
-A method is a Butcher tableau: RK4 for explicit step counts, DOP853 (order
-8) for the step-controlled runs of experiments.  One loop per state kind,
-_lockstep_states (state vectors) and _lindblad_states (density matrices),
-runs either on step-scaled stage generators A = -i dt H at the tableau's
-distinct nodes t + c dt, stacked over cells in C-contiguous buffers built
-from a static part, scaled once, and drive coefficients evaluated and
-scaled once per chunk of steps.  evolve_schrodinger and evolve_lindblad are
-batches of one whose generators sample a callable H(t).  One small cell of
-a batched state vector takes the same steps as per-step propagators
-(_propagator_states), over three times faster for the N = 3 chain.
-"""
+A method is a Butcher tableau of dense rows: RK4 for explicit step counts,
+DOP853 (order 8) for the step-controlled runs of experiments.  One loop,
+_lockstep_states, advances state vectors and packed density matrices alike,
+which differ only in their stage function, and takes each stage sum as one
+real matrix-vector product of a tableau row with the stacked increments.
+The stages read step-scaled generators A = -i dt H at the tableau's
+distinct nodes t + c dt, stacked over cells in C-contiguous buffers.
+evolve_schrodinger and evolve_lindblad are batches of one whose generators
+sample a callable H(t).  One small cell of a batched state vector takes the
+same steps as per-step propagators (_propagator_states), over three times
+faster for the N = 3 chain."""
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,14 +47,14 @@ STEP_TOL = 1e-8
 @dataclass(frozen=True)
 class Tableau:
     """An explicit Runge-Kutta method: stage i takes the generator at
-    t + c[i] dt on y + sum_j a_ij k_j and the step adds sum_i b_i k_i.  ``a``
-    holds, row by row, the (j, a_ij) pairs of the nonzero a_ij and ``b`` the
-    (i, b_i) pairs of the nonzero b_i, so that the stage sums skip zeros."""
+    t + c[i] dt on y + sum_j a_ij k_j and the step adds sum_i b_i k_i.  Row i
+    of ``a`` holds a_i0 ... a_i,i-1 and ``b`` every b_i, zeros included, so
+    that each stage sum is one product of a dense row with the increments."""
 
     name: str
     order: int
-    a: tuple[tuple[tuple[int, float], ...], ...]
-    b: tuple[tuple[int, float], ...]
+    a: tuple[tuple[float, ...], ...]
+    b: tuple[float, ...]
     c: tuple[float, ...]
 
     @property
@@ -68,8 +69,8 @@ class Tableau:
 
 
 RK4 = Tableau(
-    "rk4", 4, a=((), ((0, 0.5),), ((1, 0.5),), ((2, 1.0),)),
-    b=((0, 1 / 6), (1, 1 / 3), (2, 1 / 3), (3, 1 / 6)), c=(0.0, 0.5, 0.5, 1.0),
+    "rk4", 4, a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+    b=(1 / 6, 1 / 3, 1 / 3, 1 / 6), c=(0.0, 0.5, 0.5, 1.0),
 )
 
 # Dormand and Prince's 8th-order method (Hairer, Norsett & Wanner, Solving
@@ -79,41 +80,28 @@ DOP853 = Tableau(
     order=8,
     a=(
         (),
-        ((0, 0.05260015195876773),),
-        ((0, 0.0197250569845379), (1, 0.0591751709536137)),
-        ((0, 0.02958758547680685), (2, 0.08876275643042054)),
-        ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
-        ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
-        ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
-        (
-            (0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
-            (5, -0.015319437748624402), (6, 0.008273789163814023),
-        ),
-        (
-            (0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
-            (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996),
-        ),
-        (
-            (0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
-            (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
-            (8, -0.020331201708508627),
-        ),
-        (
-            (0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
-            (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
-            (8, 2.4936055526796523), (9, -3.0467644718982196),
-        ),
-        (
-            (0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
-            (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
-            (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636),
-        ),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+         -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+         12.360567175794303, 0.6433927460157636),
     ),
-    b=(
-        (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
-        (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-        (10, 0.20136540080403034), (11, 0.04471061572777259),
-    ),
+    b=(0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+       0.04471061572777259),
     c=(
         0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
@@ -236,7 +224,8 @@ def evolve_schrodinger(h_of_t, psi0, grid: TimeGrid, metadata=None) -> Trajector
     stages = _sampled_stages(h_of_t, grid, len(psi))
     states = [psi]
     max_drift = 0.0
-    for t, (psi,) in _record_points(_lockstep_states(stages, psi[None], RK4), grid):
+    run = _lockstep_states(stages, psi[None], _schrodinger_stage, RK4)
+    for t, (psi,) in _record_points(run, grid):
         drift = abs(np.linalg.norm(psi) - 1.0)
         max_drift = max(max_drift, drift)
         # NaN-safe: a diverged state has NaN drift
@@ -287,11 +276,11 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
     ``jumps`` is a list of JumpOperator (or (matrix, rate) pairs) with a
     single nonzero entry amp |target><source| each, as every channel of
     this model has; any other jump raises ValidationError.  The run is a
-    batch of one in the RK4 loop of evolve_lindblad_batch with every state
-    in the chain block, since a callable H does not show which entries it
-    leaves zero.  Trace drift beyond 1e-6 or an eigenvalue below -1e-6 at a
-    record point raises IntegrationError with a suggested refinement; a
-    density matrix that is no longer finite raises one saying it diverged.
+    batch of one in the lockstep loop with every state in the chain block,
+    since a callable H does not show which entries it leaves zero.  Trace
+    drift beyond 1e-6 or an eigenvalue below -1e-6 at a record point raises
+    IntegrationError with a suggested refinement; a density matrix that is
+    no longer finite raises one saying it diverged.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     dim = rho.shape[0]
@@ -310,13 +299,13 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
     g_diag = np.bincount(src, weights=w, minlength=dim)  # decay rate out of each state
     stages = _sampled_stages(h_of_t, grid, dim, -0.5j * np.diag(g_diag))
     # every state is in the chain block, so there are no product populations
-    run = _lindblad_states(
-        stages, rho[None], np.zeros((1, 0)), src, grid.dt * w[None], np.eye(dim)[tgt], RK4
-    )
+    stage = partial(_lindblad_stage, dim, src, grid.dt * w[None], np.eye(dim)[tgt])
+    run = _lockstep_states(stages, rho.reshape(1, -1), stage, RK4)
     states = [rho]
     max_trace_drift = 0.0
     max_herm_drift = 0.0
-    for t, ((rho,), _) in _record_points(run, grid):
+    for t, y in _record_points(run, grid):
+        rho = y.reshape(dim, dim)
         trace_drift = abs(np.trace(rho).real - 1.0)
         herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
         eig_min = np.nan  # eigvalsh cannot take a diverged matrix
@@ -364,9 +353,10 @@ def evolve_lindblad(h_of_t, jumps, rho0, grid: TimeGrid, metadata=None) -> Traje
 # nodes * steps * cells within this budget (at least one step).  Memory grows
 # with the chunk, the Python overhead of the pulse formulas shrinks with it.
 DRIVE_CHUNK_SAMPLES = 12288
-# Bytes of stage increments per tile of cells: the lockstep loops take each
-# step in tiles of at least two cells within this budget, 288 open cells of
-# d = 11 under DOP853 (one tile of 1681 would hold 39 MB).
+# Bytes of stage increments per tile of cells: the lockstep loop takes each
+# step in tiles of at least two cells within this budget, 297 open cells of
+# d = 11 under DOP853, whose packed rows hold 126 entries (one tile of 1681
+# would hold 41 MB).
 CELL_TILE_BYTES = 2**23
 
 
@@ -419,12 +409,12 @@ def _stage_entries(static, drive_ops, drive_fn, t_end, steps, nodes, lead=(), bl
             yield gen, index, static_entries + coeffs[first:first + block] @ op_entries
 
 
-def _combine(base, k, terms):
-    """base + sum(a * k[j] for (j, a) in terms), increments summed first."""
-    total = 0
-    for j, a in terms:
-        total += a * k[j]
-    return base + total
+def _stage_sum(y, coeffs, k):
+    """y + sum_j coeffs[j] k[j] for the C-contiguous complex stack ``k``: one
+    real matrix-vector product with k's float view, by einsum, which unlike
+    BLAS sums every entry's terms in stage order at any tile or thread count."""
+    terms = k[:len(coeffs)].reshape(len(coeffs), k[0].size).view(float)
+    return y + np.einsum("s,sn->n", coeffs, terms).view(complex).reshape(k.shape[1:])
 
 
 # The propagator order of _propagator_states serves batches of one cell of
@@ -442,23 +432,48 @@ PROPAGATOR_MAX_DIM = 19
 PROPAGATOR_BLOCK_BYTES = 3 * 32 * 11 * 11 * 16
 
 
-def _lockstep_states(stages, psi, tableau):
-    """Advance a (cells, d) batch tile by tile one step of ``tableau`` per
-    step of ``stages`` (from _stage_entries), yielding the state after each."""
-    nodes = tableau.stage_nodes
-    tiles = _cell_tiles(len(psi), 16 * (len(nodes) + 2) * psi.shape[-1])
-    k = np.empty((len(nodes), max(t.stop - t.start for t in tiles), psi.shape[1], 1), complex)
+def _lockstep_states(stages, y, stage_fn, tableau):
+    """Advance a (cells, E) batch tile by tile one step of ``tableau`` per
+    step of ``stages`` (from _stage_entries), yielding the state after each.
+
+    ``stage_fn(a, y_i, k_i, tile)`` writes into k_i the increment at the
+    stage input y_i of the cells ``tile`` under their generators a.  The m
+    cells of a tile keep their increments in the first S * m * E entries of
+    one flat buffer, which _stage_sum reads as one real (S, 2 m E) matrix."""
+    nodes, rows, b = tableau.stage_nodes, [np.array(row) for row in tableau.a], np.array(tableau.b)
+    s, width = len(nodes), y.shape[-1]
+    tiles = _cell_tiles(len(y), 16 * (s + 2) * width)
+    flat = np.empty(s * max(t.stop - t.start for t in tiles) * width, dtype=complex)
     for gen, index, (entries,) in stages:
-        new = np.empty_like(psi)
+        new = np.empty_like(y)
         for tile in tiles:
-            y, kt = psi[tile], k[:, :tile.stop - tile.start]
-            for i, terms in enumerate(tableau.a):
-                gen[tile][index] = entries[nodes[i], tile]
-                y_i = _combine(y, kt[..., 0], terms)
-                np.matmul(gen[tile], y_i[..., None], out=kt[i])
-            new[tile] = _combine(y, kt[..., 0], tableau.b)
-        psi = new
-        yield psi
+            a, k = gen[tile], flat[:s * (tile.stop - tile.start) * width].reshape(s, -1, width)
+            for i, row in enumerate(rows):
+                a[index] = entries[nodes[i], tile]
+                stage_fn(a, _stage_sum(y[tile], row, k), k[i], tile)
+            new[tile] = _stage_sum(y[tile], b, k)
+        y = new
+        yield y
+
+
+def _schrodinger_stage(a, y, k, tile):
+    """k = A y, the stage of a (cells, d) batch of state vectors."""
+    np.matmul(a, y[..., None], out=k[..., None])
+
+
+def _lindblad_stage(n, src, w, route, a, y, k, tile):
+    """The stage of packed density matrices: a row holds an n x n chain
+    block, then the product populations (with zero imaginary part).  The
+    increment of rho is A rho + (A rho)^+ plus the jumps: channel k moves
+    w[:, k] * rho[src_k, src_k] (its rate times |amp|^2 times dt) along the
+    row route[k] of chain diagonal entries and product populations."""
+    rho, k_rho = y[:, :n * n].reshape(-1, n, n), k[:, :n * n].reshape(-1, n, n)
+    m = np.matmul(a, rho)
+    np.add(m, np.swapaxes(m, -1, -2).conj(), out=k_rho)
+    flow = (rho[:, src, src].real * w[tile]) @ route
+    diagonal = np.einsum("cii->ci", k_rho)  # a writeable view
+    diagonal += flow[:, :n]
+    k[:, n * n:] = flow[:, n:]
 
 
 def _propagator_states(blocks, psi, tableau):
@@ -470,15 +485,15 @@ def _propagator_states(blocks, psi, tableau):
     matrix P = I + sum_i b_i K_i: one stacked product per stage for the P of
     a block of steps, then one product per step for the state."""
     eye = np.eye(psi.shape[-1])
-    nodes = tableau.stage_nodes
+    nodes, rows, b = tableau.stage_nodes, [np.array(row) for row in tableau.a], np.array(tableau.b)
     for gen, index, entries in blocks:
         gen = gen[:len(entries)]                                   # (n, nodes, 1, d, d)
         gen[index] = entries
-        k = []
-        for i, terms in enumerate(tableau.a):
+        k = np.empty((len(nodes), len(gen)) + gen.shape[-2:], dtype=complex)
+        for i, row in enumerate(rows):
             a = gen[:, nodes[i], 0]
-            k.append(a @ _combine(eye, k, terms) if terms else a)
-        prop = _combine(eye, k, tableau.b)
+            k[i] = a @ _stage_sum(eye, row, k) if i else a
+        prop = _stage_sum(eye, b, k)
         # psi is a row: psi P^T = (P psi^T)^T
         for prop_t in np.swapaxes(prop, 1, 2):
             psi = psi @ prop_t
@@ -505,12 +520,13 @@ def evolve_schrodinger_batch(
     dim = np.shape(psi0)[-1]
     psi = np.array(np.broadcast_to(np.asarray(psi0, dtype=complex), (cells, dim)))
     static = np.asarray(static, dtype=complex)
-    nodes, lead, block, advance = tableau.nodes, (), 1, _lockstep_states
+    nodes, lead, block = tableau.nodes, (), 1
     if cells == 1 and dim <= PROPAGATOR_MAX_DIM:
         block = max(1, PROPAGATOR_BLOCK_BYTES // (len(nodes) * dim * dim * 16))
-        lead, advance = (block, len(nodes)), _propagator_states
+        lead = (block, len(nodes))
     stages = _stage_entries(static, drive_ops, drive_fn, t_end, steps, nodes, lead, block)
-    states = advance(stages, psi, tableau)
+    states = (_propagator_states(stages, psi, tableau) if lead
+              else _lockstep_states(stages, psi, _schrodinger_stage, tableau))
 
     rec_marks = _record_marks(steps, record_every)
     records = [psi.copy()] if rec_marks is not None else None
@@ -549,43 +565,6 @@ def _chain_states(static, ops, sources, rho0):
     return mask
 
 
-def _lindblad_states(stages, rho, pops, src, w, route, tableau):
-    """Advance a (cells, n, n) chain block and its (cells, p) product
-    populations as _lockstep_states advances a batch, yielding both.
-
-    A stage generator is the step-scaled A = -i dt (H - (i/2) diag(G)) on
-    the chain block, and the increment of rho at a stage is
-    A rho + (A rho)^+ plus the jumps.  The (cells, k) weights w include the
-    step too: channel k moves w[:, k] * rho[src_k, src_k] (its rate times
-    |amp|^2 times dt) along the row route[k], whose first n entries are the
-    chain diagonal and the rest the product populations, which take no
-    stage sums, since no increment depends on them.
-    """
-    n = rho.shape[-1]
-    nodes = tableau.stage_nodes
-    tiles = _cell_tiles(len(rho), 16 * (len(nodes) + 3) * n * n)
-    size = max(tile.stop - tile.start for tile in tiles)
-    k = np.empty((len(nodes), size, n, n), dtype=complex)
-    q = np.empty((len(nodes), size, pops.shape[1]))
-    for gen, index, (entries,) in stages:
-        new_rho, new_pops = np.empty_like(rho), np.empty_like(pops)
-        for tile in tiles:
-            kt, qt = k[:, :tile.stop - tile.start], q[:, :tile.stop - tile.start]
-            for i, terms in enumerate(tableau.a):
-                gen[tile][index] = entries[nodes[i], tile]
-                y = _combine(rho[tile], kt, terms)
-                a = np.matmul(gen[tile], y)
-                np.add(a, np.swapaxes(a, -1, -2).conj(), out=kt[i])
-                flow = (y[:, src, src].real * w[tile]) @ route
-                diagonal = np.einsum("cii->ci", kt[i])  # a writeable view
-                diagonal += flow[:, :n]
-                qt[i] = flow[:, n:]
-            new_rho[tile] = _combine(rho[tile], kt, tableau.b)
-            new_pops[tile] = _combine(pops[tile], qt, tableau.b)
-        rho, pops = new_rho, new_pops
-        yield rho, pops
-
-
 def evolve_lindblad_batch(
     static, drive_ops, drive_fn, rho0, t_end, channels, steps=DEFAULT_STEPS, record_every=None,
     tableau=RK4,
@@ -622,9 +601,7 @@ def evolve_lindblad_batch(
     chain, products = np.flatnonzero(in_chain), np.flatnonzero(~in_chain)
     n_chain = len(chain)
     order = np.concatenate([chain, products])
-    position = np.empty(dim, dtype=int)
-    position[order] = np.arange(dim)
-    src_c = position[src]
+    src_c = np.searchsorted(chain, src)  # every source lies in the chain
     # channel k moves w[:, k] * rho[src_k, src_k] to its target: a chain
     # diagonal entry (the end-atom decays back to g_o) or a product population
     route = np.eye(dim)[tgt][:, order]
@@ -634,24 +611,30 @@ def evolve_lindblad_batch(
     static_eff = static[block] - 0.5j * g_diag[:, :, None] * np.eye(n_chain)
     ops = [op[block] for op in ops]
     stages = _stage_entries(static_eff, ops, drive_fn, t_end, steps, tableau.nodes)
-    rho = np.array(np.broadcast_to(rho0[block], (cells, n_chain, n_chain)))
-    pops = np.zeros((cells, len(products)))  # rho0 lies in the chain block
+    # a row packs the chain block, then the product populations (zero at first)
+    size = n_chain * n_chain
+    y = np.zeros((cells, size + len(products)), dtype=complex)
+    y[:, :size] = np.broadcast_to(rho0[block], (cells, n_chain, n_chain)).reshape(cells, size)
     w_step = w * (t_end / steps)[:, None]  # each cell's weights times its step
-    states = _lindblad_states(stages, rho, pops, src_c, w_step, route, tableau)
+    stage = partial(_lindblad_stage, n_chain, src_c, w_step, route)
+    states = _lockstep_states(stages, y, stage, tableau)
 
-    def to_full(y, p):
+    def unpack(y):
+        return y[:, :size].reshape(cells, n_chain, n_chain), y[:, size:].real
+
+    def to_full(rho, pops):
         out = np.zeros((cells, dim, dim), dtype=complex)
-        out[:, chain[:, None], chain] = y
-        out[:, products, products] = p
+        out[:, chain[:, None], chain] = rho
+        out[:, products, products] = pops
         return out
 
-    def min_eigenvalue(y, p):
+    def min_eigenvalue(rho, pops):
         out = np.full(cells, np.nan)
-        finite = np.isfinite(y).all(axis=(1, 2))
+        finite = np.isfinite(rho).all(axis=(1, 2))
         if np.any(finite):
-            sym = 0.5 * (y[finite] + np.swapaxes(y[finite], -1, -2).conj())
+            sym = 0.5 * (rho[finite] + np.swapaxes(rho[finite], -1, -2).conj())
             eig = np.linalg.eigvalsh(sym).min(axis=1)
-            out[finite] = np.minimum(eig, p[finite].min(axis=1, initial=np.inf))
+            out[finite] = np.minimum(eig, pops[finite].min(axis=1, initial=np.inf))
         return out
 
     # positivity is checked at every record point, as in evolve_lindblad,
@@ -659,12 +642,14 @@ def evolve_lindblad_batch(
     rec_marks = _record_marks(steps, record_every)
     records = None
     min_eig = np.full(cells, np.inf)
+    rho, pops = unpack(y)
     if rec_marks is not None:
         records = [to_full(rho, pops)]
         min_eig = min_eigenvalue(rho, pops)
     max_trace = np.zeros(cells)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, (rho, pops) in enumerate(states, start=1):
+        for step, y in enumerate(states, start=1):
+            rho, pops = unpack(y)
             trace = np.einsum("cii->c", rho).real + pops.sum(axis=1)
             max_trace = np.maximum(max_trace, np.abs(trace - 1.0))
             if rec_marks is not None and step in rec_marks:

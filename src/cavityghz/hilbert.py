@@ -282,11 +282,7 @@ class HilbertSpace:
         return vec
 
 
-def build_reachable_space(
-    n_atoms: int,
-    initial: BasisState | None = None,
-    include_decay: bool = False,
-) -> HilbertSpace:
+def build_reachable_space(n_atoms: int, include_decay: bool = False) -> HilbertSpace:
     """Breadth-first closure of the initial state under the generator stencils.
 
     The generators (chain couplings plus the two lasers) close the basis on
@@ -299,10 +295,7 @@ def build_reachable_space(
     PHOTON_CUTOFF.
     """
     modes = chain_modes(n_atoms)
-    if initial is None:
-        initial = initial_chain_state(n_atoms)
-    if len(initial.levels) != n_atoms or len(initial.photons) != len(modes):
-        raise DimensionError("initial state does not match the chain layout")
+    initial = initial_chain_state(n_atoms)
     generators = laser_stencils(n_atoms) + chain_coupling_stencils(n_atoms)
     stages: list[tuple[Stencil, ...]] = [generators]
     if include_decay:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_simulate_writes_trajectory(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["final"]["fidelity"] >= 0.98
-    header = open(summary["csv"]).readline().strip()
+    header = Path(summary["csv"]).read_text().splitlines()[0].strip()
     assert header == "t,fidelity,leakage"
     assert summary["diagnostics"]["max_norm_drift"] <= 1e-6
 
@@ -188,7 +189,7 @@ def test_scenario_headline_cli(tmp_path, capsys):
     summary = json.loads(out)
     fid = summary["observables"]["fidelity"]["final"]
     assert abs(fid - 0.9715) <= 0.01
-    rows = open(summary["csv"]).read().strip().splitlines()
+    rows = Path(summary["csv"]).read_text().strip().splitlines()
     assert rows[0] == "axis1,axis2,observable,value"
     assert any("fidelity" in r for r in rows[1:])
 
@@ -199,9 +200,9 @@ def test_scenario_forwards_record_every(tmp_path, capsys):
     )
     assert code == 0
     summary = strict_json(out)
-    rows = open(summary["csv"]).read().strip().splitlines()[1:]
+    rows = Path(summary["csv"]).read_text().strip().splitlines()[1:]
     assert len([r for r in rows if ",fidelity," in r]) == 21
-    assert json.load(open(summary["sidecar"]))["provenance"]["record_every"] == 1000
+    assert json.loads(Path(summary["sidecar"]).read_text())["provenance"]["record_every"] == 1000
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -239,9 +240,9 @@ def test_sweep_subcommand(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(out)
-    rows = open(summary["csv"]).read().strip().splitlines()
+    rows = Path(summary["csv"]).read_text().strip().splitlines()
     assert len(rows) == 4
-    sidecar = json.loads(open(summary["sidecar"]).read())
+    sidecar = json.loads(Path(summary["sidecar"]).read_text())
     assert sidecar["provenance"]["axes"][0]["name"] == "kappa_f"
 
 
@@ -367,10 +368,10 @@ def test_sweep_with_flagged_cell_exits_nonzero(tmp_path, capsys):
     summary = json.loads(out)
     note = json.loads(err)
     assert note["error"] == "CellErrors" and note["sidecar"] == summary["sidecar"]
-    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(summary["csv"]).read_text().strip().splitlines()[1:]]
     assert math.isfinite(float(rows[0][3]))
     assert rows[1][3] == "nan"
-    sidecar = json.loads(open(summary["sidecar"]).read())
+    sidecar = json.loads(Path(summary["sidecar"]).read_text())
     (entry,) = sidecar["diagnostics"]["cell_errors"]
     assert entry["cell"] == 1 and math.isfinite(entry["values"]["fidelity"])
 
@@ -383,7 +384,7 @@ def test_flagged_sweep_outputs_are_strict_json(tmp_path, capsys):
     )
     assert code == cli.EXIT_FLAGGED_CELLS
     summary = strict_json(out)
-    sidecar = strict_json(open(summary["sidecar"]).read())
+    sidecar = strict_json(Path(summary["sidecar"]).read_text())
     for diagnostics in (summary["diagnostics"], sidecar["diagnostics"]):
         assert diagnostics["max_norm_drift"] is None
         (entry,) = diagnostics["cell_errors"]
@@ -436,7 +437,7 @@ def test_simulate_matches_single_run_integrators(tmp_path, capsys, argv):
     summary = json.loads(out)
     config = cli.parse_config(flags=summary["config"])
     times, expected, diagnostics = _direct_series(config)
-    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()]
+    rows = [line.split(",") for line in Path(summary["csv"]).read_text().strip().splitlines()]
     assert rows[0] == ["t", *config.observables]
     assert [row[0] for row in rows[1:]] == times
     values = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
@@ -461,7 +462,7 @@ def test_simulate_with_flagged_run_exits_nonzero(tmp_path, capsys, record_every)
     summary = strict_json(out)
     note = json.loads(err)
     assert note["error"] == "CellErrors" and note["csv"] == summary["csv"]
-    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(summary["csv"]).read_text().strip().splitlines()[1:]]
     assert all(row[1] == "nan" for row in rows)
     # JSON has no NaN: a withheld value is null
     assert summary["final"]["fidelity"] is None
@@ -489,7 +490,7 @@ def test_bad_shortcut_drive_gives_json_error(tmp_path, capsys, argv, error):
 def _trajectory(capsys, tmp_path, *argv):
     code, out, _ = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path))
     summary = strict_json(out)
-    rows = [line.split(",") for line in open(summary["csv"]).read().strip().splitlines()]
+    rows = [line.split(",") for line in Path(summary["csv"]).read_text().strip().splitlines()]
     return code, summary, rows
 
 

@@ -559,37 +559,65 @@ def test_dop853_coefficients_equal_scipy():
     from scipy.integrate._ivp import dop853_coefficients as reference
 
     tableau = dynamics.DOP853
-    a = np.zeros((12, 12))
+    assert len(tableau.a) == 12
     for i, row in enumerate(tableau.a):
-        for j, value in row:
-            assert j < i
-            a[i, j] = value
-    b = np.zeros(12)
-    for i, value in tableau.b:
-        b[i] = value
-    assert np.array_equal(a, reference.A[:12, :12])
-    assert np.array_equal(b, reference.B)
+        assert np.array_equal(row, reference.A[i, :i])
+    assert not np.triu(reference.A[:12, :12]).any()
+    assert np.array_equal(tableau.b, reference.B)
     assert np.array_equal(tableau.c, reference.C[:12])
-    assert sum(len(row) for row in tableau.a) == np.count_nonzero(reference.A[:12, :12]) == 50
+    nonzero = sum(np.count_nonzero(row) for row in tableau.a)
+    assert nonzero == np.count_nonzero(reference.A[:12, :12]) == 50
     assert tableau.nodes == tableau.c and len(dynamics.RK4.nodes) == 3
 
 
-@pytest.mark.parametrize("cells", [1, 2], ids=["propagators", "lockstep"])
-def test_dop853_is_eighth_order(cells):
-    # constant two-level H: the error falls 2^8 = 256 times per step doubling
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    exact = np.array([np.cos(10.0), -1j * np.sin(10.0)])
+@pytest.mark.parametrize("tableau", [dynamics.RK4, dynamics.DOP853], ids=["rk4", "dop853"])
+def test_tableau_rows_are_dense_and_consistent(tableau):
+    # row i holds a_i0 ... a_i,i-1 and sums to c_i; the weights sum to one
+    assert [len(row) for row in tableau.a] == list(range(len(tableau.c)))
+    assert len(tableau.b) == len(tableau.c)
+    for row, c in zip(tableau.a, tableau.c, strict=True):
+        assert abs(sum(row) - c) <= 1e-14
+    assert abs(sum(tableau.b) - 1.0) <= 1e-14
 
-    def final_error(steps):
-        batch = dynamics.evolve_schrodinger_batch(
-            np.zeros((2, 2)), [two_level(1.0)], lambda t: (np.ones_like(t),), psi0,
-            np.full(cells, 10.0), steps=steps, tableau=dynamics.DOP853,
-        )
-        return np.max(np.linalg.norm(batch.finals - exact, axis=1))
 
-    assert final_error(20) > 1e-9
-    ratio = final_error(20) / final_error(40)
-    assert 128.0 <= ratio <= 512.0
+@pytest.mark.parametrize("case", ["propagators", "lockstep", "open"])
+def test_dop853_is_eighth_order(case):
+    # constant two-level H: the error falls 2^8 = 256 times per step doubling.
+    # The open case adds a decay from the upper level into a product state
+    # and checks the packed chain block and the product population apart,
+    # against a run at 16 times the steps.
+    def drive(t):
+        return (np.ones_like(t),)
+
+    if case == "open":
+        h = np.zeros((3, 3), dtype=complex)
+        h[:2, :2] = two_level(1.0)
+
+        def final(steps):
+            return dynamics.evolve_lindblad_batch(
+                np.zeros((3, 3)), [h], drive, np.diag([1.0, 0.0, 0.0]), np.full(2, 10.0),
+                ([1], [2], [1.0]), steps=steps, tableau=dynamics.DOP853,
+            ).finals
+
+        exact = final(320)
+        assert exact[0, 2, 2].real > 0.9  # most of the population has decayed
+        parts = [np.s_[:, :2, :2], np.s_[:, 2, 2]]
+    else:
+        cells = 1 if case == "propagators" else 2
+
+        def final(steps):
+            return dynamics.evolve_schrodinger_batch(
+                np.zeros((2, 2)), [two_level(1.0)], drive, np.array([1.0, 0.0], dtype=complex),
+                np.full(cells, 10.0), steps=steps, tableau=dynamics.DOP853,
+            ).finals
+
+        exact = np.array([np.cos(10.0), -1j * np.sin(10.0)])
+        parts = [np.s_[...]]
+    errors = {steps: np.abs(final(steps) - exact) for steps in (20, 40)}
+    for part in parts:
+        coarse, fine = np.max(errors[20][part]), np.max(errors[40][part])
+        assert coarse > 1e-9
+        assert 128.0 <= coarse / fine <= 512.0
 
 
 def test_cell_tiles_never_leave_a_lone_cell(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,10 +160,10 @@ def test_result_rows_long_format():
 def test_write_result_roundtrip(tmp_path):
     res = quick("natom", steps=2000)
     csv_path, json_path = experiments.write_result(res, tmp_path)
-    header, *lines = open(csv_path).read().strip().split("\n")
+    header, *lines = Path(csv_path).read_text().strip().split("\n")
     assert header == "axis1,axis2,observable,value"
     assert len(lines) == 3
-    sidecar = json.loads(open(json_path).read())
+    sidecar = json.loads(Path(json_path).read_text())
     assert sidecar["provenance"]["scenario"] == "natom"
     assert sidecar["provenance"]["hash"] in csv_path
     # sidecar params reconstruct the exact configuration
@@ -213,7 +214,7 @@ def test_step_control_matches_fine_fixed_grid(name, controlled_fig10a, tmp_path)
     assert res.provenance["step_tol"] == dynamics.STEP_TOL
     assert (res.provenance["method"], reference.provenance["method"]) == ("dop853", "rk4")
     _, json_path = experiments.write_result(res, tmp_path)
-    diag = json.loads(open(json_path).read())["diagnostics"]
+    diag = json.loads(Path(json_path).read_text())["diagnostics"]
     assert diag["cell_errors"] == []
     assert 0.0 < diag["max_step_error"] <= dynamics.STEP_TOL
     passes = diag["step_passes"][0]["steps"]

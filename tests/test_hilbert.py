@@ -150,15 +150,11 @@ def test_closure_minimality(space3):
         assert order == list(space3.basis[:k])
 
 
-def test_cutoff_violation_raises():
-    # start with a photon already present and an excited atom: emission into
-    # the occupied mode would exceed the single-photon cutoff
-    modes = hilbert.chain_modes(3)
-    photons = [0] * len(modes)
-    photons[0] = 1
-    initial = hilbert.BasisState((L.E, L.G_L, L.G_R), tuple(photons))
-    with pytest.raises(TruncationError):
-        hilbert.build_reachable_space(3, initial=initial)
+def test_cutoff_violation_raises(monkeypatch):
+    # with no photon allowed, the first emission into a mode exceeds the cutoff
+    monkeypatch.setattr(hilbert, "PHOTON_CUTOFF", 0)
+    with pytest.raises(TruncationError, match=r"would create 1 photons \(cutoff 0\)"):
+        hilbert.build_reachable_space(3)
 
 
 def test_duplicate_basis_rejected(space3):
